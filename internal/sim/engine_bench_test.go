@@ -84,10 +84,10 @@ func BenchmarkEngineCall(b *testing.B) {
 }
 
 // BenchmarkProcParkWake measures one park/resume round-trip of a
-// cooperative process (Sleep(1) and the wake event that resumes it). This
-// is the path the single-token handoff collapsed from two channel
-// round-trips to one; steady state must be zero allocations per cycle (the
-// one-time Spawn cost amortizes to zero over b.N).
+// cooperative process (Sleep(1) and the wake event that resumes it): two
+// coroutine switches plus one heap push and pop. Steady state must be zero
+// allocations per cycle (the one-time Spawn cost amortizes to zero over
+// b.N).
 func BenchmarkProcParkWake(b *testing.B) {
 	e := New()
 	b.ReportAllocs()

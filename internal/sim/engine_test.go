@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -223,6 +225,69 @@ func TestProcPanicPropagates(t *testing.T) {
 		}
 	}()
 	_ = e.Run()
+}
+
+// TestProcPanicAfterParks: a process that panics after parking on every
+// blocking form (Sleep, Yield, Cond.Wait) still surfaces as a *ProcFailure
+// carrying the original value, and it no longer counts as live.
+func TestProcPanicAfterParks(t *testing.T) {
+	e := New()
+	var c Cond
+	boom := errors.New("boom after parks")
+	e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(10)
+		p.Yield()
+		c.Wait(p, "kick")
+		p.Sleep(5)
+		panic(boom)
+	})
+	e.Spawn("kicker", func(p *Proc) {
+		p.Sleep(20)
+		c.Broadcast()
+		c.Wait(p, "never")
+	})
+	if n := e.LiveProcs(); n != 2 {
+		t.Fatalf("LiveProcs before Run = %d, want 2", n)
+	}
+	defer func() {
+		pf, ok := recover().(*ProcFailure)
+		if !ok {
+			t.Fatal("Run did not re-panic a *ProcFailure")
+		}
+		if pf.Proc != "bomb" || pf.Value != boom {
+			t.Errorf("ProcFailure = %+v, want bomb / %v", pf, boom)
+		}
+		if e.Now() != 25 {
+			t.Errorf("failed at %v, want 25", e.Now())
+		}
+		if n := e.LiveProcs(); n != 1 {
+			t.Errorf("LiveProcs after the failure = %d, want 1 (the parked kicker)", n)
+		}
+	}()
+	_ = e.Run()
+	t.Fatal("Run returned without panicking")
+}
+
+// TestProcGoexitEndsRunCaller pins the serial engine's runtime.Goexit rule:
+// a process that calls it (t.FailNow in a rank program) ends the goroutine
+// that called Run, which never sees Run return.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
+	e := New()
+	e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = e.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned after a process called runtime.Goexit")
+	}
 }
 
 func TestYieldLetsSameInstantEventsRun(t *testing.T) {

@@ -1,95 +1,119 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with the event loop so that exactly one of (engine, some process) runs at
-// a time. A Proc advances the virtual clock only by blocking — Sleep for
-// compute time, Cond.Wait for synchronization — and therefore reads as
-// ordinary sequential code.
+// Proc is a simulated process: a pull coroutine (iter.Pull) whose execution
+// is interleaved with the event loop so that exactly one of (engine, some
+// process) runs at a time. A Proc advances the virtual clock only by
+// blocking — Sleep for compute time, Cond.Wait for synchronization — and
+// therefore reads as ordinary sequential code.
+//
+// A runtime.Goexit inside a process (t.FailNow in a rank program, say)
+// cannot be recovered into a process failure: iter.Pull re-raises it on the
+// goroutine that resumed the process. On a serial engine that is the Run
+// caller's goroutine, which exits; on a Sharded group whose shard runs on a
+// worker, the worker hands the coordinator a *ProcFailure naming the
+// process, so Run re-panics instead of hanging.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	// tok is the single control-token handoff channel. Ownership strictly
-	// alternates — the engine sends to resume the process, the process
-	// sends to park or finish — so one unbuffered channel serves both
-	// directions: whenever one side sends, the other is already receiving,
-	// and the rendezvous completes without an extra blocking round-trip.
-	// (The previous design used a resume channel plus a parked channel —
-	// two channel structures and a parkMsg copied through one of them on
-	// every cycle.)
-	tok chan struct{}
-
-	// msg is the reusable park report, written by the process before it
-	// hands the token back. The channel send orders the write before the
-	// engine's read, so a plain field is race-free.
-	msg parkMsg
+	// next and yield are the two ends of the process's coroutine. The
+	// engine's next runs the process until it parks or finishes; the
+	// process's yield (in park) suspends it and returns control to that
+	// next call. A coroutine switch hands the running thread straight to
+	// the other side without a trip through the goroutine scheduler, and
+	// only one side of the pair can run at a time — the exactly-one-runner
+	// invariant the cooperative model depends on. The last value yielded
+	// is the finish report.
+	next  func() (parkMsg, bool)
+	yield func(parkMsg) bool
 
 	// blockedOn describes what the process is waiting for; surfaced in
 	// deadlock reports.
 	blockedOn string
 
-	// blocked/slept accounting. Updated only while this process holds the
-	// control token, so plain fields are race-free.
+	// blocked/slept accounting. Updated only while this process runs —
+	// the engine is suspended in next — so plain fields are race-free.
 	blocked Time // time parked on conditions (waiting, not computing)
 	slept   Time // time parked in Sleep (modelled compute)
 }
 
+// parkMsg is what a process yields to the engine: the zero value on every
+// park, and finished (with the panic value, if any) once fn has ended.
 type parkMsg struct {
 	finished bool
 	panicked interface{}
 }
 
+// errProcGoexit is the ProcFailure value a Sharded group reports when a
+// process on a worker-dispatched shard called runtime.Goexit.
+var errProcGoexit = errors.New("sim: process called runtime.Goexit")
+
 // Spawn creates a process named name running fn, starting at the current
-// simulated time. fn runs on its own goroutine but only while the engine has
-// handed it the control token.
+// simulated time. fn runs on its own coroutine, and only while the engine
+// has resumed it.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		name: name,
-		tok:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(parkMsg) bool) {
+		p.yield = yield
+		yield(p.run(fn))
+	})
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.tok // wait for the starter event
-		defer func() {
-			r := recover()
-			p.msg = parkMsg{finished: true, panicked: r}
-			p.tok <- struct{}{}
-		}()
-		fn(p)
-	}()
 	e.schedProc(p, 0)
 	return p
 }
 
-// step hands the control token to p and blocks the engine until p parks or
-// finishes.
+// run calls fn and builds the finish report, recovering a panic into it.
+// A runtime.Goexit never returns from run; the deferred report then leaves
+// a typed failure on the engine for a shard worker to hand its coordinator
+// (Sharded.startWorkers).
+func (p *Proc) run(fn func(p *Proc)) (m parkMsg) {
+	returned := false
+	defer func() {
+		m = parkMsg{finished: true, panicked: recover()}
+		if !returned && m.panicked == nil {
+			p.eng.failure = &ProcFailure{Proc: p.name, Value: errProcGoexit}
+		}
+	}()
+	fn(p)
+	returned = true
+	return m
+}
+
+// step resumes p and blocks the engine until p parks or finishes. A
+// finished process is resumed once more so its pulled function returns and
+// the coroutine's goroutine exits; dropping the coroutine's closures then
+// leaves a Proc that model code still references holding nothing else.
 func (e *Engine) step(p *Proc) {
-	p.tok <- struct{}{}
-	<-p.tok
-	if p.msg.finished {
+	m, _ := p.next()
+	if m.finished {
+		p.next()
+		p.next, p.yield = nil, nil
 		delete(e.procs, p)
-		if p.msg.panicked != nil {
-			e.failure = &ProcFailure{Proc: p.name, Value: p.msg.panicked}
+		if m.panicked != nil {
+			e.failure = &ProcFailure{Proc: p.name, Value: m.panicked}
 		}
 	}
 }
 
 // HandleEvent implements Handler: a wake event reached its instant, so the
-// engine hands this process the control token. Engine use only — model
-// code wakes processes through Cond, Sleep and Yield.
+// engine resumes this process. Engine use only — model code wakes processes
+// through Cond, Sleep and Yield.
 func (p *Proc) HandleEvent(int64, int64) { p.eng.step(p) }
 
-// park gives the token back to the engine and blocks until somebody resumes
-// this process via a wake event.
+// park yields control back to the engine and suspends until somebody
+// resumes this process via a wake event.
 func (p *Proc) park(why string) {
 	p.blockedOn = why
 	t0 := p.eng.now
-	p.msg = parkMsg{}
-	p.tok <- struct{}{}
-	<-p.tok
+	p.yield(parkMsg{})
 	d := p.eng.now - t0
 	if why == "sleep" {
 		p.slept += d
@@ -102,10 +126,10 @@ func (p *Proc) park(why string) {
 }
 
 // wake schedules an event that transfers control back to p. It must be
-// called while the engine (or another process holding the token) is
-// running. The wake is a typed event — no closure, no allocation — which
-// matters because every Sleep, Yield and Cond wakeup in the simulator
-// passes through here.
+// called while the engine, or a process it has resumed, is running. The
+// wake is a typed event — no closure, no allocation — which matters
+// because every Sleep, Yield and Cond wakeup in the simulator passes
+// through here.
 func (p *Proc) wake(delay Time) {
 	p.eng.schedProc(p, delay)
 }

@@ -433,6 +433,16 @@ func (s *Sharded) startWorkers() {
 			done:  make(chan interface{}),
 		}
 		go func(e *Engine, w shardWorker) {
+			// A process's runtime.Goexit ends this goroutine inside
+			// runWindow (iter.Pull re-raises it on the resuming
+			// goroutine). Hand the coordinator the typed failure the
+			// process left, or it would block on done forever.
+			defer func() {
+				if f := e.failure; f != nil {
+					e.failure = nil
+					w.done <- f
+				}
+			}()
 			for b := range w.start {
 				w.done <- e.runWindow(b.cap)
 			}

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"mpinet/internal/units"
@@ -178,6 +181,109 @@ func TestShardedProcFailure(t *testing.T) {
 		}
 		if pf.Proc != "bad" || pf.Value != "boom" {
 			t.Errorf("ProcFailure = %+v", pf)
+		}
+	}()
+	_ = s.Run()
+	t.Fatal("Run returned without panicking")
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
+// migratingModel puts a process on e1 that sleeps in quarter-hop steps and
+// a quarter-hop event chain on e0 that runs only for the first five hops.
+// On a 2-shard group the chain keeps shard 0 in every early window, so
+// shard 1 — and the process — is dispatched on its worker; once the chain
+// stops, shard 1 runs solo, inline on the coordinator. Every resume also
+// schedules a same-instant probe whose goroutine is passed to onResume.
+func migratingModel(e0, e1 *Engine, onResume func(gid uint64)) (end *Time) {
+	end = new(Time)
+	const step = testHop / 4
+	var chain func()
+	chain = func() {
+		if e0.Now()+step < 5*testHop {
+			e0.Schedule(step, chain)
+		}
+	}
+	e0.Schedule(0, chain)
+	e1.Spawn("mover", func(p *Proc) {
+		for i := 0; i < 40; i++ {
+			p.Sleep(step)
+			p.Engine().Schedule(0, func() { onResume(goid()) })
+		}
+		*end = p.Now()
+	})
+	return end
+}
+
+// TestShardProcResumesInlineAndOnWorker: a process resumed by the worker
+// goroutine in some windows and by the coordinator in others finishes at
+// the same time, after the same number of dispatches, as on a serial
+// engine.
+func TestShardProcResumesInlineAndOnWorker(t *testing.T) {
+	e := New()
+	want := migratingModel(e, e, func(uint64) {})
+	if err := e.Run(); err != nil {
+		t.Fatalf("serial Run: %v", err)
+	}
+
+	s := NewSharded(2, testHop)
+	coord := goid()
+	inline, onWorker := 0, 0
+	got := migratingModel(s.Shard(0), s.Shard(1), func(gid uint64) {
+		if gid == coord {
+			inline++
+		} else {
+			onWorker++
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("sharded Run: %v", err)
+	}
+	if inline == 0 || onWorker == 0 {
+		t.Fatalf("resumes inline=%d on worker=%d, want both", inline, onWorker)
+	}
+	if *got != *want || *want != 10*testHop {
+		t.Errorf("process ended at %v sharded, %v serial, want %v", *got, *want, 10*testHop)
+	}
+	if s.Dispatched() != e.Dispatched() {
+		t.Errorf("dispatched %d sharded, %d serial", s.Dispatched(), e.Dispatched())
+	}
+}
+
+// TestShardWorkerGoexitFailsTyped: a process that calls runtime.Goexit
+// while its shard runs on a worker ends that worker goroutine. Run must
+// re-panic a *ProcFailure naming the process instead of waiting forever
+// for the worker's window report.
+func TestShardWorkerGoexitFailsTyped(t *testing.T) {
+	s := NewSharded(2, testHop)
+	coord := goid()
+	var quitGID uint64
+	var chain func()
+	chain = func() { s.Shard(0).Schedule(testHop/4, chain) } // keeps shard 0 in every window
+	s.Shard(0).Schedule(0, chain)
+	s.Shard(1).Spawn("quitter", func(p *Proc) {
+		p.Sleep(testHop / 2)
+		p.Engine().Schedule(0, func() { quitGID = goid() })
+		p.Yield() // the probe runs first, on the goroutine that resumes p
+		runtime.Goexit()
+	})
+	defer func() {
+		pf, ok := recover().(*ProcFailure)
+		if !ok {
+			t.Fatal("Run did not re-panic a *ProcFailure")
+		}
+		if pf.Proc != "quitter" || pf.Value != errProcGoexit {
+			t.Errorf("ProcFailure = %+v", pf)
+		}
+		if quitGID == coord {
+			t.Error("the process ran inline; the test needs it on the worker")
 		}
 	}()
 	_ = s.Run()
