@@ -282,12 +282,12 @@ type errNetwork struct {
 	err error
 }
 
-func (n errNetwork) Name() string                  { return "invalid" }
-func (n errNetwork) Engine() *sim.Engine           { return n.eng }
-func (n errNetwork) Nodes() int                    { return 0 }
-func (n errNetwork) NewEndpoint(int) dev.Endpoint  { panic(n.err) }
-func (n errNetwork) ShmemBelow() int64             { return 0 }
-func (n errNetwork) ConfigErr() error              { return n.err }
+func (n errNetwork) Name() string                 { return "invalid" }
+func (n errNetwork) Engine() *sim.Engine          { return n.eng }
+func (n errNetwork) Nodes() int                   { return 0 }
+func (n errNetwork) NewEndpoint(int) dev.Endpoint { panic(n.err) }
+func (n errNetwork) ShmemBelow() int64            { return 0 }
+func (n errNetwork) ConfigErr() error             { return n.err }
 
 // With derives a variant platform with the options' platform-side effects
 // applied. Options that carry a name suffix (PCIBus -> "-PCI") extend the

@@ -51,8 +51,8 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 	plan := &faults.Plan{
 		Seed: 1,
 		SwitchKills: []faults.SwitchKill{
-			{Level: 1, Index: 1, At: kill, RepairAt: repair},        // spine plane 1 dies, heals
-			{Level: 0, Index: 2, At: 2 * units.Millisecond},         // leaf 2 dies for good
+			{Level: 1, Index: 1, At: kill, RepairAt: repair}, // spine plane 1 dies, heals
+			{Level: 0, Index: 2, At: 2 * units.Millisecond},  // leaf 2 dies for good
 		},
 		LinecardDegrades: []faults.LinecardDegrade{
 			{Level: 1, Index: 2, From: kill, Until: 3 * units.Millisecond, Drop: 0.05},

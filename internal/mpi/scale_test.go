@@ -208,4 +208,3 @@ func TestScaleMemoryOrdering(t *testing.T) {
 		t.Fatalf("per-rank memory ordering broken: %v", mem)
 	}
 }
-

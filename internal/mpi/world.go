@@ -135,9 +135,9 @@ type World struct {
 	// CommWorld view; read-only after construction.
 	worldRanks []int
 	met        *metrics.Registry
-	rec   *msgtrace.Recorder
-	start sim.Time
-	end   sim.Time
+	rec        *msgtrace.Recorder
+	start      sim.Time
+	end        sim.Time
 	// fault is the first fatal job error (device retry exhaustion, watchdog
 	// timeout, truncation); once set, every rank aborts at its next
 	// progress point and Run returns it. In scale mode it may be written

@@ -155,13 +155,13 @@ type FlightKind uint8
 
 // Flight-recorder entry kinds.
 const (
-	FlightSend       FlightKind = iota // message entered the library
-	FlightRetransmit                   // a NIC recovery attempt fired
-	FlightFailover                     // the bond re-issued on another rail
-	FlightRailDown                     // a rail was declared dead
-	FlightTimeout                      // the MPI watchdog fired
-	FlightAbort                        // the job aborted
-	FlightElementDown                  // a fabric element or node died (A = packed element code)
+	FlightSend        FlightKind = iota // message entered the library
+	FlightRetransmit                    // a NIC recovery attempt fired
+	FlightFailover                      // the bond re-issued on another rail
+	FlightRailDown                      // a rail was declared dead
+	FlightTimeout                       // the MPI watchdog fired
+	FlightAbort                         // the job aborted
+	FlightElementDown                   // a fabric element or node died (A = packed element code)
 )
 
 var flightNames = [...]string{

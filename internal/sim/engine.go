@@ -27,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -48,12 +49,13 @@ type Handler interface {
 	HandleEvent(a, b int64)
 }
 
-// event is one queued occurrence. Every callback form funnels into the
-// Handler word: model objects and processes implement Handler directly,
-// and bare func() callbacks ride as funcHandler — a func value is
-// pointer-shaped, so the interface conversion does not box. Keeping the
-// record at 48 bytes matters: heap sifting copies events, and the queue
-// routinely holds thousands.
+// event is one occurrence in transit between a schedule call and its
+// dispatch. Every callback form funnels into the Handler word: model
+// objects and processes implement Handler directly, and bare func()
+// callbacks ride as funcHandler — a func value is pointer-shaped, so the
+// interface conversion does not box. The current-instant FIFO lane stores
+// events whole; the radix queue splits each into a pointer-free time key
+// and a slab record (see eventHeap).
 type event struct {
 	at   Time
 	seq  uint64
@@ -139,26 +141,101 @@ func (t *Timer) HandleEvent(int64, int64) {
 	t.fn()
 }
 
-// eventHeap is a 4-ary min-heap ordered by (time, sequence). It is
-// hand-rolled rather than container/heap because heap.Push/Pop traffic in
-// interface{}, which boxes one event per Schedule — an allocation on the
-// hottest path of the whole simulator. push/pop below work directly on the
-// slice; the only allocations are the amortized append growths.
+// eventHeap is the engine's pending-event queue: a monotone radix queue
+// (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) ordered by (time,
+// sequence). It exploits the one property every simulator queue has —
+// simulated time never runs backwards — to replace a heap's log-depth
+// sifts, whose key compares are unpredictable branches over picosecond
+// times spread across dozens of bits, with O(1) pushes and pops amortized
+// over a handful of re-filings per event.
 //
-// Two shape choices matter at this call volume (tens of millions of ops per
-// suite run). Arity 4 halves the tree depth, trading two extra key
-// compares per level — against 48-byte elements whose moves dominate, the
-// shallower tree wins, and the four children share a cache line pair.
-// Sifting moves the displaced element through a hole instead of swapping:
-// one copy per level plus a final placement, rather than three. Neither
-// changes which event pops next — (at, seq) is a strict total order, so
-// every correct heap yields the identical pop sequence and determinism is
-// untouched.
-type eventHeap []event
+// The queue keeps a base: the time of the last event popped, so never
+// above the engine clock. An event at time at is filed in bucket
+// bits.Len64(at ^ base): bucket 0 holds the events at exactly base, bucket
+// b >= 1 those whose highest bit differing from base is bit b-1. Times are
+// non-negative int64s, so 64 buckets cover every key. A push is one bucket
+// append. A pop takes bucket 0's head; when bucket 0 is empty it takes the
+// minimum of the lowest non-empty bucket, moves base to its time and
+// re-files the rest of that bucket, whose events all land in strictly
+// lower buckets — empty at that moment — so each event descends a few
+// levels over its lifetime rather than being compared log(n) times per
+// operation.
+//
+// Order is structural. Every bucket is a FIFO in sequence order: pushes
+// append the newest sequence number, and re-filing walks a bucket in order
+// into empty buckets. Each bucket's running minimum keeps the first of
+// equal times, so events at one instant pop in schedule order — exactly
+// lessEv's (time, sequence) order. Any exact priority queue yields that
+// same pop sequence, so the queue's structure never shows in any output.
+//
+// Peeks never move base. The dispatch loops peek for the FIFO-lane choice,
+// the stale-timer drop, the RunUntil horizon and the window cap, and the
+// shard scheduler peeks between windows; after any of those a push can
+// still land between the clock and the peeked minimum (a same-instant
+// handler, a schedule after a horizon stop, a cross-shard commit). So every
+// bucket tracks its own minimum as keys arrive, peek reads the lowest
+// bucket's, drop removes it without moving base, and only pop advances
+// base. push panics on a time below base, so a broken invariant fails
+// loudly instead of misordering. Tracking the minimum per bucket rather
+// than scanning for it keeps a peek O(1) even when the next event sits in
+// a bucket of thousands of far-future keys.
+//
+// Storage is split so the hot loops touch little memory and the garbage
+// collector scans less. Keys — time plus slab index, no pointers — sit in
+// fixed-size blocks chained per bucket and drawn from one per-queue free
+// list, so the queue's footprint tracks its depth rather than which
+// buckets the absolute time bits happen to fill, and steady-state traffic
+// allocates nothing. A bucket keeps its first block while empty, so the
+// buckets a run keeps cycling through never touch the free list. Handlers
+// and arguments live in a slab whose slots are recycled through a free
+// list.
+type eventHeap struct {
+	base      Time
+	n         int    // queued events
+	mask      uint64 // bit b set while bucket b holds keys
+	bk        [64]qbucket
+	free      *qblock // free-block list through qblock.next
+	blocks    int     // blocks allocated
+	slab      []qslot
+	freeSlots []int32
+}
 
-const heapArity = 4
+// qBlockKeys is the key capacity of one storage block (a power of two, so
+// masking an index proves it in range).
+const qBlockKeys = 32
 
-// lessEv orders events by (time, sequence).
+// qblock is one link of a bucket's key chain. Times and slots are parallel
+// arrays so re-filing strides over dense keys; the only pointer is the
+// chain link.
+type qblock struct {
+	next *qblock
+	n    int32 // keys filled; every block but a chain's tail is full
+	at   [qBlockKeys]Time
+	slot [qBlockKeys]int32
+}
+
+// qbucket is one bucket's block chain and its minimum key: the earliest
+// time, and of equal times the first filed — the lowest sequence. Bucket 0
+// leaves the minimum unused: every key there is at base, so its head is
+// the minimum.
+type qbucket struct {
+	head, tail *qblock // nil until first use, then kept while empty
+	off        int32   // keys already popped from the head block (bucket 0 only)
+	minSlot    int32
+	minAt      Time
+}
+
+// qslot is the slab record of one queued event: its handler and
+// arguments. The time is in the key and the sequence number is implicit in
+// the key's position in its bucket.
+type qslot struct {
+	h    Handler
+	a, b int64
+}
+
+// lessEv orders events by (time, sequence) — the order the queue pops in.
+// The queue never evaluates it: FIFO buckets make the order structural.
+// It is the specification the queue's tests check pop sequences against.
 func lessEv(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -166,67 +243,214 @@ func lessEv(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// siftUp restores the heap property for a node that may beat its parents.
-func (h eventHeap) siftUp(i int) {
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !lessEv(&ev, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// push queues ev; its time must not be below base.
+func (q *eventHeap) push(ev event) {
+	if ev.at < q.base {
+		panic(fmt.Sprintf("sim: event at %v queued below the queue base %v", ev.at, q.base))
 	}
-	h[i] = ev
+	var s int32
+	if k := len(q.freeSlots) - 1; k >= 0 {
+		s = q.freeSlots[k]
+		q.freeSlots = q.freeSlots[:k]
+	} else {
+		s = int32(len(q.slab))
+		q.slab = append(q.slab, qslot{})
+	}
+	q.slab[s] = qslot{h: ev.h, a: ev.a, b: ev.b}
+	q.appendKey(bits.Len64(uint64(ev.at^q.base)), ev.at, s)
+	q.n++
 }
 
-// siftDown restores the heap property for a node that may lose to a child.
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	ev := h[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if lessEv(&h[c], &h[best]) {
-				best = c
+// peek returns the earliest queued time without moving base. The queue
+// must be non-empty.
+func (q *eventHeap) peek() Time {
+	if q.mask&1 != 0 {
+		return q.base
+	}
+	return q.bk[bits.TrailingZeros64(q.mask)].minAt
+}
+
+// head returns the slab record of the event peek reports.
+func (q *eventHeap) head() *qslot {
+	if q.mask&1 != 0 {
+		bk := &q.bk[0]
+		return &q.slab[bk.head.slot[bk.off&(qBlockKeys-1)]]
+	}
+	return &q.slab[q.bk[bits.TrailingZeros64(q.mask)].minSlot]
+}
+
+// pop removes the minimum event — the one head reports — advancing base
+// to its time.
+func (q *eventHeap) pop() {
+	if q.mask&1 == 0 {
+		// Move base to the lowest bucket's minimum and re-file the rest of
+		// that bucket: every other key lands in a lower, empty bucket,
+		// those at the new base in bucket 0 in sequence order.
+		k := bits.TrailingZeros64(q.mask)
+		bk := &q.bk[k]
+		q.base = bk.minAt
+		min := bk.minSlot
+		for blk := bk.head; blk != nil; blk = blk.next {
+			for j, at := range blk.at[:blk.n] {
+				if s := blk.slot[j]; s != min {
+					q.appendKey(bits.Len64(uint64(at^q.base)), at, s)
+				}
 			}
 		}
-		if !lessEv(&h[best], &ev) {
-			break
+		q.empty(k)
+		q.release(min)
+		return
+	}
+	bk := &q.bk[0]
+	h := bk.head
+	s := h.slot[bk.off&(qBlockKeys-1)]
+	if bk.off++; bk.off == h.n {
+		if h == bk.tail {
+			h.n, bk.off = 0, 0
+			q.mask &^= 1
+		} else {
+			bk.head, bk.off = h.next, 0
+			h.next = q.free
+			q.free = h
 		}
-		h[i] = h[best]
-		i = best
 	}
-	h[i] = ev
+	q.release(s)
 }
 
-// push adds ev and sifts it up to its heap position.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	h.siftUp(len(*h) - 1)
+// drop removes the minimum event without moving base: the stale-timer
+// discard, which must leave the clock — and so the lowest legal push time —
+// where it is.
+func (q *eventHeap) drop() {
+	if q.mask&1 != 0 {
+		q.pop() // bucket 0 sits at base, so popping it leaves base alone
+		return
+	}
+	k := bits.TrailingZeros64(q.mask)
+	skip := q.bk[k].minSlot
+	q.filter(k, func(s int32) bool { return s != skip })
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
-	q := *h
-	min := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // release the handler reference
-	q = q[:n]
-	*h = q
-	if n > 0 {
-		q.siftDown(0)
+// compact releases every stale timer event, filtering each non-empty
+// bucket in place.
+func (q *eventHeap) compact() {
+	live := func(s int32) bool {
+		sl := &q.slab[s]
+		return !staleEvent(sl.h, sl.a)
 	}
-	return min
+	for m := q.mask; m != 0; m &= m - 1 {
+		q.filter(bits.TrailingZeros64(m), live)
+	}
+}
+
+// filter releases the keys of bucket b that keep rejects, compacting the
+// survivors toward the chain's head in their original order (the write
+// position never passes the read position) and recomputing the minimum.
+func (q *eventHeap) filter(b int, keep func(s int32) bool) {
+	bk := &q.bk[b]
+	w, wi := bk.head, bk.off
+	kept := false
+	for r, j := bk.head, bk.off; r != nil; r, j = r.next, 0 {
+		for ; j < r.n; j++ {
+			at, s := r.at[j&(qBlockKeys-1)], r.slot[j&(qBlockKeys-1)]
+			if !keep(s) {
+				q.release(s)
+				continue
+			}
+			if wi == qBlockKeys {
+				w, wi = w.next, 0
+			}
+			w.at[wi&(qBlockKeys-1)], w.slot[wi&(qBlockKeys-1)] = at, s
+			wi++
+			if !kept || at < bk.minAt {
+				bk.minAt, bk.minSlot = at, s
+			}
+			kept = true
+		}
+	}
+	if !kept {
+		q.empty(b)
+		return
+	}
+	w.n = wi
+	if w != bk.tail {
+		bk.tail.next = q.free
+		q.free = w.next
+		w.next = nil
+		bk.tail = w
+	}
+}
+
+// empty marks bucket b empty, keeping its head block and freeing the rest
+// of its chain.
+func (q *eventHeap) empty(b int) {
+	bk := &q.bk[b]
+	h := bk.head
+	if h != bk.tail {
+		bk.tail.next = q.free
+		q.free = h.next
+		h.next = nil
+		bk.tail = h
+	}
+	h.n, bk.off = 0, 0
+	q.mask &^= 1 << b
+}
+
+// appendKey adds a key at the tail of bucket b, keeping its minimum.
+func (q *eventHeap) appendKey(b int, at Time, s int32) {
+	bk := &q.bk[b]
+	t := bk.tail
+	if q.mask&(1<<b) == 0 {
+		if t == nil {
+			t = q.newBlock()
+			bk.head, bk.tail = t, t
+		}
+		bk.minAt, bk.minSlot = at, s
+		q.mask |= 1 << b
+	} else {
+		if at < bk.minAt {
+			bk.minAt, bk.minSlot = at, s
+		}
+		if t.n == qBlockKeys {
+			nb := q.newBlock()
+			t.next = nb
+			bk.tail, t = nb, nb
+		}
+	}
+	i := t.n & (qBlockKeys - 1)
+	t.at[i], t.slot[i] = at, s
+	t.n++
+}
+
+// newBlock takes an empty block from the free list. An empty list is
+// refilled with as many blocks as the queue already owns (four at first),
+// so block allocations are logarithmic in the queue's peak footprint.
+func (q *eventHeap) newBlock() *qblock {
+	if q.free == nil {
+		batch := make([]qblock, max(q.blocks, 4))
+		q.blocks += len(batch)
+		for i := range batch[1:] {
+			batch[i].next = &batch[i+1]
+		}
+		q.free = &batch[0]
+	}
+	f := q.free
+	q.free = f.next
+	f.next, f.n = nil, 0
+	return f
+}
+
+// release recycles slot s.
+func (q *eventHeap) release(s int32) {
+	q.slab[s] = qslot{} // release the handler reference
+	q.freeSlots = append(q.freeSlots, s)
+	q.n--
+}
+
+// staleEvent reports whether an event for h carrying argument a is a timer
+// event that no longer represents its timer's live deadline.
+func staleEvent(h Handler, a int64) bool {
+	t, ok := h.(*Timer)
+	return ok && t.stale(a)
 }
 
 // totalDispatched accumulates events dispatched across every engine in the
@@ -242,7 +466,7 @@ func TotalDispatched() uint64 { return totalDispatched.Load() }
 // Timer-compaction thresholds: compact when at least compactMinStopped
 // cancelled timers sit in the queue AND they exceed a quarter of it. The
 // floor keeps small queues from compacting on every Stop; the fraction
-// bounds wasted heap traffic (every sift step over a dead event is pure
+// bounds wasted queue traffic (every re-filing of a dead event is pure
 // overhead) to a constant factor.
 const compactMinStopped = 64
 
@@ -260,12 +484,13 @@ type Engine struct {
 	// instant being dispatched carries a larger sequence number than every
 	// queued event at that instant (sequence numbers are globally
 	// increasing), so it runs after all of them, in schedule order — a
-	// strict FIFO. Appending to a ring is O(1) where a heap push is
-	// O(log n), and zero-delay traffic (Cond wakeups, Yield, same-instant
-	// protocol steps) is a large share of all events. Dispatch drains heap
-	// events at the current instant first (their sequence numbers are
-	// smaller by construction), then this queue; the merged order is
-	// exactly the global (at, seq) order, so determinism is untouched.
+	// strict FIFO. Appending to a ring skips the queue's slab and bucket
+	// bookkeeping, and zero-delay traffic (Cond wakeups, Yield,
+	// same-instant protocol steps) is a large share of all events.
+	// Dispatch drains queued events at the current instant first (their
+	// sequence numbers are smaller by construction), then this lane; the
+	// merged order is exactly the global (at, seq) order, so determinism is
+	// untouched.
 	nowq     []event
 	nowqHead int
 	procs    map[*Proc]struct{}
@@ -304,7 +529,7 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // enqueue stamps the next sequence number on ev, queues it (the FIFO lane
-// for current-instant events during dispatch, the heap otherwise) and
+// for current-instant events during dispatch, the radix queue otherwise) and
 // maintains the depth high-water mark — the single funnel every schedule
 // form feeds.
 func (e *Engine) enqueue(ev event) {
@@ -315,7 +540,7 @@ func (e *Engine) enqueue(ev event) {
 	} else {
 		e.events.push(ev)
 	}
-	if d := len(e.events) + len(e.nowq) - e.nowqHead; d > e.qhw {
+	if d := e.events.n + len(e.nowq) - e.nowqHead; d > e.qhw {
 		e.qhw = d
 	}
 }
@@ -379,42 +604,24 @@ func (e *Engine) AfterTimer(delay Time, fn func()) *Timer {
 
 // maybeCompact removes cancelled timer events from the queue in bulk once
 // they exceed the compaction thresholds. Without this, per-wait watchdogs
-// (auto-armed on every MPI wait under a fault plan) rot in the heap until
-// their far-future deadlines surface at the head, and every push/pop in
-// between sifts over them. Compaction filters the backing slice in place
-// and re-heapifies; the (at, seq) total order that determines dispatch is
-// untouched, so determinism is unaffected.
+// (auto-armed on every MPI wait under a fault plan) rot in the queue until
+// their far-future deadlines surface at the head, and every re-filing in
+// between carries them along. Compaction filters each bucket in place,
+// preserving its order, so the (at, seq) total order that determines
+// dispatch is untouched and determinism is unaffected.
 func (e *Engine) maybeCompact() {
-	if e.stoppedTimers < compactMinStopped || e.stoppedTimers*4 <= len(e.events) {
+	if e.stoppedTimers < compactMinStopped || e.stoppedTimers*4 <= e.events.n {
 		return
 	}
-	kept := e.events[:0]
-	for _, ev := range e.events {
-		if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	// Zero the tail so dropped events release their references.
-	tail := e.events[len(kept):]
-	for i := range tail {
-		tail[i] = event{}
-	}
-	e.events = kept
-	if len(kept) > 1 {
-		for i := (len(kept) - 2) / heapArity; i >= 0; i-- {
-			e.events.siftDown(i)
-		}
-	}
+	e.events.compact()
 	// The FIFO lane can hold stopped timers too (armed and cancelled
 	// within the same instant); filter its live region, head left in place.
 	if e.nowqHead < len(e.nowq) {
 		keptNow := e.nowq[:e.nowqHead]
 		for _, ev := range e.nowq[e.nowqHead:] {
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
-				continue
+			if !staleEvent(ev.h, ev.a) {
+				keptNow = append(keptNow, ev)
 			}
-			keptNow = append(keptNow, ev)
 		}
 		tail := e.nowq[len(keptNow):]
 		for i := range tail {
@@ -473,8 +680,8 @@ func (e *Engine) runSerial(limit Time) error {
 	horizon := false
 	for {
 		var ev event
-		if e.nowqHead < len(e.nowq) && (len(e.events) == 0 || e.events[0].at > e.now) {
-			// FIFO lane: every heap event at this instant (all with
+		if e.nowqHead < len(e.nowq) && (e.events.n == 0 || e.events.peek() > e.now) {
+			// FIFO lane: every queued event at this instant (all with
 			// smaller sequence numbers) has already run.
 			ev = e.nowq[e.nowqHead]
 			e.nowq[e.nowqHead] = event{} // release the handler reference
@@ -483,25 +690,27 @@ func (e *Engine) runSerial(limit Time) error {
 				e.nowq = e.nowq[:0]
 				e.nowqHead = 0
 			}
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
+			if staleEvent(ev.h, ev.a) {
 				e.stoppedTimers--
 				continue
 			}
-		} else if len(e.events) > 0 {
-			ev = e.events[0]
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
+		} else if e.events.n > 0 {
+			at := e.events.peek()
+			h := e.events.head()
+			if staleEvent(h.h, h.a) {
 				// Cancelled or superseded by a re-Arm: drop without
 				// advancing the clock or counting a dispatch.
 				e.stoppedTimers--
-				e.events.pop()
+				e.events.drop()
 				continue
 			}
-			if limit >= 0 && ev.at > limit {
+			if limit >= 0 && at > limit {
 				horizon = true
 				break
 			}
+			ev = event{at: at, a: h.a, b: h.b, h: h.h}
 			e.events.pop()
-			e.now = ev.at
+			e.now = at
 		} else {
 			break
 		}
@@ -533,13 +742,13 @@ func (e *Engine) runSerial(limit Time) error {
 func (e *Engine) nextEventAt() (Time, bool) {
 	if e.nowqHead < len(e.nowq) {
 		t := e.nowq[e.nowqHead].at
-		if len(e.events) > 0 && e.events[0].at < t {
-			t = e.events[0].at
+		if e.events.n > 0 {
+			t = min(t, e.events.peek())
 		}
 		return t, true
 	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
+	if e.events.n > 0 {
+		return e.events.peek(), true
 	}
 	return 0, false
 }
@@ -562,7 +771,7 @@ func (e *Engine) runWindow(cap Time) (failure interface{}) {
 	defer func() { e.running = false }()
 	for {
 		var ev event
-		if e.nowqHead < len(e.nowq) && (len(e.events) == 0 || e.events[0].at > e.now) {
+		if e.nowqHead < len(e.nowq) && (e.events.n == 0 || e.events.peek() > e.now) {
 			// FIFO-lane events sit at e.now, which is < windowCap by
 			// construction (the window admitted the event that queued them),
 			// so no cap check is needed: the lane always drains.
@@ -573,22 +782,24 @@ func (e *Engine) runWindow(cap Time) (failure interface{}) {
 				e.nowq = e.nowq[:0]
 				e.nowqHead = 0
 			}
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
+			if staleEvent(ev.h, ev.a) {
 				e.stoppedTimers--
 				continue
 			}
-		} else if len(e.events) > 0 {
-			ev = e.events[0]
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
+		} else if e.events.n > 0 {
+			at := e.events.peek()
+			h := e.events.head()
+			if staleEvent(h.h, h.a) {
 				e.stoppedTimers--
-				e.events.pop()
+				e.events.drop()
 				continue
 			}
-			if ev.at >= e.windowCap {
+			if at >= e.windowCap {
 				break
 			}
+			ev = event{at: at, a: h.a, b: h.b, h: h.h}
 			e.events.pop()
-			e.now = ev.at
+			e.now = at
 		} else {
 			break
 		}
@@ -654,9 +865,9 @@ func (e *Engine) SendTo(dst int, delay Time, h Handler, a, b int64) {
 // process-wide counter (one atomic add per run, never per event).
 func addTotalDispatched(n uint64) { totalDispatched.Add(n) }
 
-// Pending reports the number of queued events (heap and current-instant
+// Pending reports the number of queued events (radix queue and current-instant
 // FIFO lane together).
-func (e *Engine) Pending() int { return len(e.events) + len(e.nowq) - e.nowqHead }
+func (e *Engine) Pending() int { return e.events.n + len(e.nowq) - e.nowqHead }
 
 // Dispatched reports how many events the engine has executed — a measure
 // of simulation work, useful for budgeting large experiments.

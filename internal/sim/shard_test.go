@@ -512,3 +512,67 @@ func TestSoloFastPathWindows(t *testing.T) {
 		t.Errorf("dispatched %d, want 1000", got)
 	}
 }
+
+// peekSender is shard 0's side of TestShardCommitBelowPeekedMin: at each
+// lookahead step it sends one message to shard 1 and re-arms itself.
+type peekSender struct {
+	e     *Engine
+	sink  Handler
+	left  int
+	local bool // serial reference: deliver with Call instead of SendTo
+}
+
+func (p *peekSender) HandleEvent(int64, int64) {
+	if p.local {
+		p.e.Call(testHop, p.sink, 0, 0)
+	} else {
+		p.e.SendTo(1, testHop, p.sink, 0, 0)
+	}
+	if p.left--; p.left > 0 {
+		p.e.Call(testHop, p, 0, 0)
+	}
+}
+
+// TestShardCommitBelowPeekedMin: a cross-shard commit may land on a shard
+// below the minimum its window already peeked. Shard 1 dispatches its event
+// at 0 and stops its first window on a far event at 10 hops + 5 ps, which
+// the window had to peek to see it was past the cap; every commit from
+// shard 0 then lands between shard 1's clock and that peeked minimum. The
+// peek must not have moved shard 1's queue base, and the committed events
+// must dispatch before the far one, in the order a serial engine gives.
+func TestShardCommitBelowPeekedMin(t *testing.T) {
+	run := func(shards int) ([]Time, *Sharded) {
+		s := NewSharded(shards, testHop)
+		dst := s.Shard(shards - 1)
+		var got []Time
+		sink := funcHandler(func() { got = append(got, dst.Now()) })
+		dst.At(0, func() { got = append(got, dst.Now()) })
+		dst.At(10*testHop+5, func() { got = append(got, dst.Now()) })
+		src := &peekSender{e: s.Shard(0), sink: sink, left: 10, local: shards == 1}
+		src.e.Call(0, src, 0, 0)
+		if err := s.Run(); err != nil {
+			t.Fatalf("shards=%d: Run: %v", shards, err)
+		}
+		return got, s
+	}
+	want := []Time{0}
+	for k := 1; k <= 10; k++ {
+		want = append(want, Time(k)*testHop)
+	}
+	want = append(want, 10*testHop+5)
+	serial, _ := run(1)
+	sharded, s := run(2)
+	for name, got := range map[string][]Time{"serial": serial, "sharded": sharded} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: shard 1 dispatched %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: shard 1 dispatched %v, want %v", name, got, want)
+			}
+		}
+	}
+	if s.Windows() < 10 {
+		t.Errorf("sharded run took %d windows, want one per hop at least", s.Windows())
+	}
+}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo health check: static analysis, the test suite under the race
+# Repo health check: formatting, static analysis, the test suite under the race
 # detector, and the end-to-end determinism smoke — the figure document must
 # be byte-identical between -j 1 and -j N, two identical instrumented runs
 # must produce byte-identical metrics snapshots, Chrome traces and blame
@@ -83,6 +83,15 @@ if grep -n 'time\.Now\|time\.Since\|atomic\.' internal/sim/shard.go; then
     exit 1
 fi
 echo "banned patterns absent"
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: files need gofmt:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+echo "all files gofmt-clean"
 
 echo "== go vet =="
 go vet ./...
