@@ -30,6 +30,14 @@ import (
 // Endpoint is one process's attachment to an interconnect. Endpoints on the
 // same node share that node's NIC, bus and link hardware, so contention
 // between co-located processes is modelled for free.
+//
+// Completions are typed continuations (sim.Callback): the MPI layer passes
+// its message envelope as the handler and the protocol step as an
+// argument, and the device fires the callback inline at the instant the
+// operation completes (or schedules it as one event where the device adds
+// a delay of its own). A Callback is a plain value, so handing one down
+// allocates nothing; a device keeps whatever per-operation state it needs
+// in recycled records of its own (see docs/MODEL.md §15).
 type Endpoint interface {
 	// Node returns the index of the node this endpoint lives on.
 	Node() int
@@ -70,15 +78,16 @@ type Endpoint interface {
 	IssueStall() sim.Time
 
 	// Eager moves an eager packet (envelope + payload) to the destination
-	// node's eager region; deliver fires there when it has landed.
-	Eager(dst int, size int64, deliver func())
+	// node's eager region; done fires there when it has landed.
+	Eager(dst int, size int64, done sim.Callback)
 
-	// Control moves a small protocol message (RTS/CTS/FIN).
-	Control(dst int, deliver func())
+	// Control moves a small protocol message (RTS/CTS/FIN); done fires when
+	// it has landed.
+	Control(dst int, done sim.Callback)
 
-	// Bulk moves rendezvous payload zero-copy; deliver fires when the last
+	// Bulk moves rendezvous payload zero-copy; done fires when the last
 	// byte is in the destination user buffer.
-	Bulk(dst int, size int64, deliver func())
+	Bulk(dst int, size int64, done sim.Callback)
 
 	// MemoryUsage is the bytes of library+device memory this process
 	// consumes when connected to npeers other processes.
@@ -92,9 +101,9 @@ type Endpoint interface {
 // the mechanism behind Quadrics' poor many-to-many (Alltoall) performance
 // relative to its excellent ping-pong latency.
 type NICMatcher interface {
-	// MatchDelay runs cb after the NIC has matched an arrival against
-	// pending posted entries.
-	MatchDelay(pending int, cb func())
+	// MatchDelay fires done, as one event, once the NIC has matched an
+	// arrival against pending posted entries.
+	MatchDelay(pending int, done sim.Callback)
 }
 
 // Multicaster is implemented by endpoints whose switch can replicate one
@@ -210,8 +219,8 @@ type ElementHealth interface {
 // trace context (see internal/msgtrace). The MPI world attaches its
 // recorder at wiring time; device models then read the current message's
 // trace ID from the recorder synchronously at the Eager/Control/Bulk entry
-// (the cooperative scheduler makes the scoped handoff race-free), capture
-// it into their completion and retry closures, and record wire, hop,
+// (the cooperative scheduler makes the scoped handoff race-free), carry
+// it into their completion and retry state, and record wire, hop,
 // backoff and flight-recorder observations against it. Composite networks
 // (the rail bond) forward the attachment to every member and add their own
 // dispatch/failover spans.

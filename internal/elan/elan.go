@@ -540,7 +540,7 @@ func (ep *endpoint) IssueStall() sim.Time {
 // pending Tports table before delivering. The walk is capped — in-order
 // streams match near the head; the full cost shows in many-to-many patterns
 // where unrelated entries pile up.
-func (ep *endpoint) MatchDelay(pending int, cb func()) {
+func (ep *endpoint) MatchDelay(pending int, done sim.Callback) {
 	const maxWalk = 8
 	if pending > maxWalk {
 		pending = maxWalk
@@ -549,7 +549,7 @@ func (ep *endpoint) MatchDelay(pending int, cb func()) {
 	eng := ep.net.engineFor(ep.node)
 	hw := ep.net.nodes[ep.node]
 	_, end := hw.elanProc.Use(eng.Now(), matchBase+sim.Time(pending)*matchPerEntry)
-	eng.At(end, cb)
+	eng.CallAt(end, done.H, done.A, done.B)
 }
 
 // elanStage bills the shared NIC thread processor per chunk.
@@ -634,45 +634,69 @@ func (ep *endpoint) buildPath(dst int, size int64) []fabric.PathStage {
 	)
 }
 
-func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
-	if ep.net.scale {
-		// Domain mode: fault-free by construction (activation refuses fault
-		// plans) and untraced; the staged path is split at the wire so each
-		// node's hardware state stays on its own engine. The command-queue
-		// slot is source-NIC state, so its release rides a cross-domain hop
-		// back — one wire flight after delivery, carrying the destination's
-		// skew so commit order stays a pure function of simulated time.
-		eng := ep.net.engineFor(ep.node)
-		dstEng := ep.net.engineFor(dst)
+// op is one in-flight Tports send: the endpoint whose command-queue slot
+// it holds, its destination and the MPI layer's continuation. Records are
+// recycled through a per-engine free list — taken on the source's engine at
+// issue, released on the destination's when the payload lands and returned
+// to the source's list — so a healthy send allocates nothing.
+type op struct {
+	ep   *endpoint
+	dst  int
+	done sim.Callback
+}
+
+// ops recycles Tports send records.
+var ops = sim.NewFreeList[op]()
+
+// HandleEvent implements sim.Handler: the transfer landed intact.
+func (o *op) HandleEvent(int64, int64) { o.delivered() }
+
+// delivered releases the send's command-queue slot, frees the record and
+// fires the continuation, on the destination's engine. The slot is
+// source-NIC state: in domain mode its release rides a cross-domain hop
+// back, one wire flight after delivery, carrying the destination's skew so
+// commit order stays a pure function of simulated time. (CallOn degrades
+// to a same-engine Call with the identical delay when both nodes share a
+// shard, so the release time is the same at every shard count.)
+func (o *op) delivered() {
+	ep, n := o.ep, o.ep.net
+	dstEng := n.engineFor(o.dst)
+	if n.scale && o.dst != ep.node {
+		dstEng.CallOn(n.engineFor(ep.node), wireLatency+n.skew(o.dst), ep, 0, 0)
+	} else {
+		ep.outstanding--
+	}
+	done := o.done
+	ops.Put(dstEng, n.engineFor(ep.node), o)
+	done.Fire()
+}
+
+// HandleEvent implements sim.Handler for the domain-mode command-queue slot
+// release that delivered schedules back on this endpoint's engine.
+func (ep *endpoint) HandleEvent(int64, int64) { ep.outstanding-- }
+
+// transfer moves size bytes to dst and fires done when they have landed.
+// In domain mode it is fault-free by construction (activation refuses fault
+// plans) and untraced; the staged path is split at the wire so each node's
+// hardware state stays on its own engine.
+func (ep *endpoint) transfer(dst int, size int64, done sim.Callback) {
+	n := ep.net
+	eng := n.engineFor(ep.node)
+	o := ops.Get(eng)
+	*o = op{ep: ep, dst: dst, done: done}
+	if n.scale {
 		ep.outstanding++
 		path, srcN := ep.resolved(dst, size)
-		fabric.TransferCut(eng, dstEng, path, srcN,
-			size, fabric.ChunkFor(size), eng.Now(), func(sim.Time) {
-				if dst == ep.node {
-					ep.outstanding--
-				} else {
-					// ScheduleOn degrades to a same-engine Schedule with the
-					// identical delay when both nodes share a shard, so the
-					// release time is the same at every shard count.
-					dstEng.ScheduleOn(eng, wireLatency+ep.net.skew(dst), func() {
-						ep.outstanding--
-					})
-				}
-				deliver()
-			})
+		fabric.TransferCut(eng, n.engineFor(dst), path, srcN,
+			size, fabric.ChunkFor(size), eng.Now(), sim.Callback{H: o})
 		return
 	}
-	eng := ep.net.eng
-	rec := ep.net.rec
+	rec := n.rec
 	tid, rail := rec.Cur(), rec.CurRail()
 	ep.outstanding++
-	inj := ep.net.inj
+	inj := n.inj
 	if inj == nil || dst == ep.node {
-		ep.wireAttempt(ep.path(dst, size), tid, rail, 0, size, eng.Now(),
-			func(end sim.Time) {
-				ep.outstanding--
-				deliver()
-			})
+		fabric.TransferTraced(ep.net.eng, ep.path(dst, size), size, fabric.ChunkFor(size), eng.Now(), ep.net.rec, tid, ep.node, rail, 0, sim.Callback{H: o})
 		return
 	}
 	start := eng.Now() + inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
@@ -697,78 +721,59 @@ func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
 			return
 		}
 		path := ep.path(dst, size)
-		fate := fabric.LastRouteOf(ep.net.topo)
+		fate := fabric.LastRouteOf(n.topo)
 		if fate.State == fabric.RoutePartitioned {
 			ep.outstanding--
 			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
 			return
 		}
-		ep.wireAttempt(path, tid, rail, uint8(attempt-1), size, at,
-			func(end sim.Time) {
-				v := faults.Drop // black-holed: structural loss, no PRNG draw
-				if fate.State != fabric.RouteBlackhole {
-					v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-				}
-				if v == faults.Deliver {
-					ep.outstanding--
-					deliver()
-					return
-				}
-				if attempt > elanRetry.Limit {
-					ep.outstanding--
-					ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-						Attempts: attempt, Bytes: size, Proto: "Elan source retry"})
-					return
-				}
-				delay := elanRetry.Delay(attempt)
-				attempt++
-				ep.retried()
-				rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-				rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-				eng.At(end+delay, func() {
-					hw := ep.net.nodes[ep.node]
-					hw.elanProc.Use(eng.Now(), elanPerMsg)
-					try(eng.Now())
-				})
+		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at, ep.net.rec, tid, ep.node, rail, uint8(attempt-1), sim.Callback{H: sim.Func(func() {
+			end := eng.Now()
+			v := faults.Drop // black-holed: structural loss, no PRNG draw
+			if fate.State != fabric.RouteBlackhole {
+				v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
+			}
+			if v == faults.Deliver {
+				o.delivered()
+				return
+			}
+			if attempt > elanRetry.Limit {
+				ep.outstanding--
+				ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
+					Attempts: attempt, Bytes: size, Proto: "Elan source retry"})
+				return
+			}
+			delay := elanRetry.Delay(attempt)
+			attempt++
+			ep.retried()
+			rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
+			rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
+			eng.At(end+delay, func() {
+				hw := n.nodes[ep.node]
+				hw.elanProc.Use(eng.Now(), elanPerMsg)
+				try(eng.Now())
 			})
+		})})
 	}
 	try(start)
 }
 
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path.
-func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := ep.net.rec
-	if rec.Sampled(tid) {
-		inner := done
-		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, ep.node, rail, attempt, -1, at, end, size)
-			inner(end)
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, ep.node, rail, attempt, done)
-		return
-	}
-	fabric.Transfer(ep.net.eng, path, size, fabric.ChunkFor(size), at, done)
-}
-
 // Eager implements dev.Endpoint (Tports queued send).
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
+func (ep *endpoint) Eager(dst int, size int64, done sim.Callback) {
 	ep.nic.Eager(size)
-	ep.transfer(dst, size+32, deliver)
+	ep.transfer(dst, size+32, done)
 }
 
 // Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, deliver func()) {
+func (ep *endpoint) Control(dst int, done sim.Callback) {
 	ep.nic.Control()
-	ep.transfer(dst, 64, deliver)
+	ep.transfer(dst, 64, done)
 }
 
 // Bulk implements dev.Endpoint (Elan remote DMA).
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
+func (ep *endpoint) Bulk(dst int, size int64, done sim.Callback) {
 	ep.nic.Bulk(size)
-	ep.transfer(dst, size, deliver)
+	ep.transfer(dst, size, done)
 }
 
 var _ dev.Network = (*Network)(nil)

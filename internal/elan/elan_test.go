@@ -58,7 +58,7 @@ func TestCommandQueueBackpressure(t *testing.T) {
 	}
 	// Saturate the 16-deep queue with undelivered commands.
 	for i := 0; i < cmdQueueDepth; i++ {
-		ep.Eager(1, 64, func() {})
+		ep.Eager(1, 64, sim.Callback{H: sim.Func(func() {})})
 	}
 	if ep.IssueStall() == 0 {
 		t.Fatal("full command queue did not stall")
@@ -77,7 +77,7 @@ func TestMatchDelayScalesWithPending(t *testing.T) {
 		n := New(eng, DefaultConfig(2))
 		ep := n.NewEndpoint(0).(*endpoint)
 		var at sim.Time
-		ep.MatchDelay(pending, func() { at = eng.Now() })
+		ep.MatchDelay(pending, sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestUniBandwidthIsDMABound(t *testing.T) {
 	ep := n.NewEndpoint(0)
 	size := int64(4 * units.MB)
 	var at sim.Time
-	ep.Bulk(1, size, func() { at = eng.Now() })
+	ep.Bulk(1, size, sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLoopbackWorseThanWire(t *testing.T) {
 		n := New(eng, DefaultConfig(2))
 		ep := n.NewEndpoint(0)
 		var at sim.Time
-		ep.Eager(dst, 64, func() { at = eng.Now() })
+		ep.Eager(dst, 64, sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestEagerThresholdOverride(t *testing.T) {
 func TestUtilizations(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, DefaultConfig(2))
-	n.NewEndpoint(0).Eager(1, 4096, func() {})
+	n.NewEndpoint(0).Eager(1, 4096, sim.Callback{H: sim.Func(func() {})})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

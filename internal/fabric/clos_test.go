@@ -204,7 +204,7 @@ func TestClosConservationAtScale(t *testing.T) {
 			continue
 		}
 		stages[len(stages)-1].Latency += lat
-		Transfer(e, stages, size, ChunkFor(size), 0, done)
+		Transfer(e, stages, size, ChunkFor(size), 0, onDone(e, done))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

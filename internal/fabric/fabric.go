@@ -123,35 +123,97 @@ type PathStage struct {
 	Latency sim.Time
 }
 
-// xfer is one in-flight Transfer: a typed event handler whose (ci, stage)
-// arguments drive the chunk pipeline, so the steady state — every chunk
-// through every stage — schedules events without allocating. stage ==
-// len(path) is the completion sentinel. The struct itself is the only heap
-// allocation per message.
+// xfer is one in-flight transfer: a typed event handler whose (ci, stage)
+// arguments drive the chunk pipeline, so every chunk through every stage
+// schedules events without allocating. stage == len(path) is the
+// completion sentinel. A transfer may be split across two engines of a
+// sharded group (TransferCut): stages [0, cut) — the source node's
+// bus/NIC/link plus any source-leaf fabric stage — run on src, the rest and
+// the sentinel on dst; a single-engine transfer has src == dst. The
+// hand-off between stage cut-1 and stage cut rides the wire-latency hop,
+// which is at least the group's cross-shard lookahead by construction (the
+// lookahead is the minimum wire latency), so the cross-engine schedule
+// never violates the conservative window.
+//
+// Records are recycled through a per-engine free list. The sentinel is
+// provably a record's last event: every stage is a FIFO station, so the
+// chunks of one transfer clear each stage in order, and the last chunk's
+// arrival at the last stage — the only event that schedules the sentinel —
+// is dispatched after every other chunk event of the transfer. The
+// sentinel therefore frees the record (into its own engine's list) before
+// firing the completion.
 type xfer struct {
-	e       *sim.Engine
-	path    []PathStage
-	done    func(end sim.Time)
-	chunk   int64
-	last    int64
-	nchunks int64
+	src, dst *sim.Engine
+	cut      int
+	path     []PathStage
+	done     sim.Callback
+	chunk    int64
+	last     int64
+	nchunks  int64
 
-	// Trace fields, populated by TransferTraced for sampled messages only;
-	// rec == nil on the untraced (allocation-gated) path.
+	// tr is the per-hop trace state of a sampled message (TransferTraced);
+	// nil on the untraced path, which therefore allocates nothing.
+	tr *xferTrace
+}
+
+// xferTrace is the trace side record of a sampled transfer.
+type xferTrace struct {
 	rec      *msgtrace.Recorder
 	tid      msgtrace.ID
 	rank     int
 	rail     int8
 	attempt  uint8
 	bytes    int64
+	start    sim.Time   // issue time, where the wire span opens
 	hopEnter []sim.Time // per-stage entry time of chunk 0
 }
 
-// HandleEvent implements sim.Handler: chunk ci reached stage, occupy it and
-// self-clock the successors.
+// xfers recycles transfer records.
+var xfers = sim.NewFreeList[xfer]()
+
+// newXfer takes a record from src's free list and sets up its pipeline.
+func newXfer(src, dst *sim.Engine, path []PathStage, cut int, size, chunk int64, done sim.Callback) *xfer {
+	if chunk <= 0 {
+		panic("fabric: non-positive chunk")
+	}
+	if size <= 0 {
+		size = 1 // control messages still occupy the path minimally
+	}
+	nchunks := (size + chunk - 1) / chunk
+	x := xfers.Get(src)
+	*x = xfer{
+		src:     src,
+		dst:     dst,
+		cut:     cut,
+		path:    path,
+		done:    done,
+		chunk:   chunk,
+		last:    size - (nchunks-1)*chunk,
+		nchunks: nchunks,
+	}
+	return x
+}
+
+// engineFor returns the engine that owns a stage index (the sentinel
+// len(path) belongs to the destination).
+func (x *xfer) engineFor(stage int64) *sim.Engine {
+	if stage < int64(x.cut) {
+		return x.src
+	}
+	return x.dst
+}
+
+// HandleEvent implements sim.Handler on whichever engine owns the stage:
+// chunk ci reached stage, occupy it and self-clock the successors.
 func (x *xfer) HandleEvent(ci, stage int64) {
+	e := x.engineFor(stage)
 	if stage == int64(len(x.path)) {
-		x.done(x.e.Now())
+		if tr := x.tr; tr != nil {
+			tr.rec.Span(tr.tid, msgtrace.StageWire, tr.rank, tr.rail, tr.attempt, -1, tr.start, e.Now(), tr.bytes)
+		}
+		done := x.done
+		xfers.Put(e, x.src, x)
+		done.Fire()
 		return
 	}
 	n := x.chunk
@@ -159,96 +221,72 @@ func (x *xfer) HandleEvent(ci, stage int64) {
 		n = x.last
 	}
 	st := x.path[stage]
-	_, end := st.Stage.Send(x.e.Now(), n)
+	_, end := st.Stage.Send(e.Now(), n)
 	arrive := end + st.Latency
-	if x.rec != nil {
+	if tr := x.tr; tr != nil {
 		// Per-hop span: chunk 0 entering the stage opens it, the last chunk
 		// clearing it (plus propagation) closes it — the cut-through
 		// pipeline's residence interval at this path stage.
 		if ci == 0 {
-			x.hopEnter[stage] = x.e.Now()
+			tr.hopEnter[stage] = e.Now()
 		}
 		if ci == x.nchunks-1 {
-			x.rec.Span(x.tid, msgtrace.StageHop, x.rank, x.rail, x.attempt,
-				int16(stage), x.hopEnter[stage], arrive, x.bytes)
+			tr.rec.Span(tr.tid, msgtrace.StageHop, tr.rank, tr.rail, tr.attempt,
+				int16(stage), tr.hopEnter[stage], arrive, tr.bytes)
 		}
 	}
 	if stage == 0 && ci+1 < x.nchunks {
 		// Self-clock the next chunk into the head of the path.
-		x.e.CallAt(end, x, ci+1, 0)
+		e.CallAt(end, x, ci+1, 0)
 	}
-	if stage+1 < int64(len(x.path)) {
-		x.e.CallAt(arrive, x, ci, stage+1)
-	} else if ci == x.nchunks-1 {
-		x.e.CallAt(arrive, x, ci, stage+1) // sentinel: completion
+	next := stage + 1
+	if next < int64(len(x.path)) || ci == x.nchunks-1 {
+		// The last chunk past the last stage schedules the sentinel.
+		if ne := x.engineFor(next); ne == e {
+			e.CallAt(arrive, x, ci, next)
+		} else {
+			e.SendTo(ne.ShardID(), arrive-e.Now(), x, ci, next)
+		}
 	}
 }
 
 // Transfer pushes size bytes through the staged path as a cut-through
-// pipeline of chunks, starting at time start, and calls done(end) when the
-// last chunk clears the last stage. chunk is the pipelining granularity;
-// sizes at or below it move as a single unit.
+// pipeline of chunks, starting at time start, and fires done when the last
+// chunk clears the last stage — at the transfer's end time, which the
+// continuation reads from its engine's clock. chunk is the pipelining
+// granularity; sizes at or below it move as a single unit.
 //
 // Each chunk is self-clocked: chunk i+1 is submitted to stage 0 when chunk i
 // clears stage 0, and a chunk is submitted to stage k+1 when it clears stage
 // k. Contending transfers interleave naturally through the shared stage
-// FIFOs.
-func Transfer(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time, done func(end sim.Time)) {
-	if chunk <= 0 {
-		panic("fabric: non-positive chunk")
-	}
-	if len(path) == 0 {
-		x := &xfer{e: e, done: done}
-		e.CallAt(start, x, 0, 0) // stage 0 == len(path): immediate completion
-		return
-	}
-	if size <= 0 {
-		size = 1 // control messages still occupy the path minimally
-	}
-	nchunks := (size + chunk - 1) / chunk
-	x := &xfer{
-		e:       e,
-		path:    path,
-		done:    done,
-		chunk:   chunk,
-		last:    size - (nchunks-1)*chunk,
-		nchunks: nchunks,
-	}
-	e.CallAt(start, x, 0, 0)
+// FIFOs. In steady state a transfer allocates nothing: its record comes
+// from e's free list and returns there when it completes.
+func Transfer(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time, done sim.Callback) {
+	x := newXfer(e, e, path, 0, size, chunk, done)
+	e.CallAt(start, x, 0, 0) // with no stages, stage 0 is the sentinel
 }
 
-// TransferTraced is Transfer plus per-hop span recording for a sampled
-// message: each path stage's residence interval is recorded as a StageHop
-// span carrying the hop index, rail and attempt. Unsampled messages fall
-// through to the plain (allocation-gated) Transfer, so callers may use this
-// unconditionally with a live recorder.
+// TransferTraced is Transfer plus span recording for a sampled message: the
+// whole transfer is recorded as a StageWire span (issue to completion) and
+// each path stage's residence interval as a StageHop span carrying the hop
+// index, all attributed to rank (the issuing node), rail and attempt.
+// Unsampled messages fall through to the plain (allocation-free) Transfer,
+// so the NIC models call this unconditionally with their recorder.
 func TransferTraced(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time,
-	rec *msgtrace.Recorder, tid msgtrace.ID, rank int, rail int8, attempt uint8, done func(end sim.Time)) {
-	if !rec.Sampled(tid) || len(path) == 0 {
+	rec *msgtrace.Recorder, tid msgtrace.ID, rank int, rail int8, attempt uint8, done sim.Callback) {
+	if !rec.Sampled(tid) {
 		Transfer(e, path, size, chunk, start, done)
 		return
 	}
-	if chunk <= 0 {
-		panic("fabric: non-positive chunk")
-	}
-	if size <= 0 {
-		size = 1
-	}
-	nchunks := (size + chunk - 1) / chunk
-	x := &xfer{
-		e:       e,
-		path:    path,
-		done:    done,
-		chunk:   chunk,
-		last:    size - (nchunks-1)*chunk,
-		nchunks: nchunks,
-
+	x := newXfer(e, e, path, 0, size, chunk, done)
+	x.tr = &xferTrace{
 		rec:      rec,
 		tid:      tid,
 		rank:     rank,
 		rail:     rail,
 		attempt:  attempt,
 		bytes:    size,
+		start:    start,
 		hopEnter: make([]sim.Time, len(path)),
 	}
 	e.CallAt(start, x, 0, 0)
@@ -285,96 +323,25 @@ func ChunkFor(size int64) int64 {
 	return c
 }
 
-// cutXfer is an in-flight TransferCut: the cut-through chunk pipeline of
-// xfer, with the path split across two engines of one sharded group. Stages
-// [0, cut) — the source node's bus/NIC/link plus any source-leaf fabric
-// stage — execute on the source's engine; stages [cut, len) and the
-// completion sentinel execute on the destination's. The hand-off between
-// stage cut-1 and stage cut rides the wire-latency hop, which is at least
-// the group's cross-shard lookahead by construction (the lookahead IS the
-// minimum wire latency), so the cross-engine schedule never violates the
-// conservative window.
-type cutXfer struct {
-	src, dst *sim.Engine
-	path     []PathStage
-	cut      int
-	done     func(end sim.Time)
-	chunk    int64
-	last     int64
-	nchunks  int64
-}
-
-// engineFor returns the engine that owns a stage index (the sentinel
-// len(path) belongs to the destination).
-func (x *cutXfer) engineFor(stage int64) *sim.Engine {
-	if stage < int64(x.cut) {
-		return x.src
-	}
-	return x.dst
-}
-
-// HandleEvent implements sim.Handler on whichever engine owns the stage.
-func (x *cutXfer) HandleEvent(ci, stage int64) {
-	e := x.engineFor(stage)
-	if stage == int64(len(x.path)) {
-		x.done(e.Now())
-		return
-	}
-	n := x.chunk
-	if ci == x.nchunks-1 {
-		n = x.last
-	}
-	st := x.path[stage]
-	_, end := st.Stage.Send(e.Now(), n)
-	arrive := end + st.Latency
-	if stage == 0 && ci+1 < x.nchunks {
-		e.CallAt(end, x, ci+1, 0)
-	}
-	next := stage + 1
-	if next < int64(len(x.path)) || ci == x.nchunks-1 {
-		if ne := x.engineFor(next); ne == e {
-			e.CallAt(arrive, x, ci, next)
-		} else {
-			e.SendTo(ne.ShardID(), arrive-e.Now(), x, ci, next)
-		}
-	}
-}
-
 // TransferCut is Transfer with the path split across the source and
 // destination node domains of a sharded engine group: cut names the first
 // destination-side stage. With both ends on the same engine (same shard, or
 // a serial scale-mode run) it degrades to the plain single-engine pipeline,
 // scheduling the exact same (time, stage) sequence — the transport differs,
 // never the timing.
-func TransferCut(srcE, dstE *sim.Engine, path []PathStage, cut int, size, chunk int64, start sim.Time, done func(end sim.Time)) {
+func TransferCut(srcE, dstE *sim.Engine, path []PathStage, cut int, size, chunk int64, start sim.Time, done sim.Callback) {
 	if srcE == dstE {
 		Transfer(srcE, path, size, chunk, start, done)
 		return
 	}
-	if chunk <= 0 {
-		panic("fabric: non-positive chunk")
+	if len(path) == 0 {
+		panic("fabric: TransferCut needs a staged path to cross domains")
 	}
 	if cut < 1 || cut > len(path) {
 		// Stage 0 must be source-side: the transfer is issued on the source
 		// engine, and every physical path starts at the source's own bus.
 		panic(fmt.Sprintf("fabric: cut %d outside path of %d stages", cut, len(path)))
 	}
-	if len(path) == 0 {
-		panic("fabric: TransferCut needs a staged path to cross domains")
-	}
-	if size <= 0 {
-		size = 1
-	}
-	nchunks := (size + chunk - 1) / chunk
-	x := &cutXfer{
-		src:     srcE,
-		dst:     dstE,
-		path:    path,
-		cut:     cut,
-		done:    done,
-		chunk:   chunk,
-		last:    size - (nchunks-1)*chunk,
-		nchunks: nchunks,
-	}
+	x := newXfer(srcE, dstE, path, cut, size, chunk, done)
 	srcE.CallAt(start, x, 0, 0)
 }

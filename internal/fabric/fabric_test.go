@@ -7,6 +7,12 @@ import (
 	"mpinet/internal/units"
 )
 
+// onDone adapts a completion closure taking the end time to the typed
+// continuation Transfer fires; the end time is the engine clock then.
+func onDone(e *sim.Engine, fn func(at sim.Time)) sim.Callback {
+	return sim.Callback{H: sim.Func(func() { fn(e.Now()) })}
+}
+
 func linkCfg(mbps float64) LinkConfig {
 	return LinkConfig{Rate: units.MBps(mbps)}
 }
@@ -15,7 +21,7 @@ func TestTransferSingleStageRate(t *testing.T) {
 	e := sim.New()
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var end sim.Time
-	Transfer(e, []PathStage{{Stage: p}}, 100*units.MB, DefaultChunk, 0, func(at sim.Time) { end = at })
+	Transfer(e, []PathStage{{Stage: p}}, 100*units.MB, DefaultChunk, 0, onDone(e, func(at sim.Time) { end = at }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func TestTransferPipelinesAcrossStages(t *testing.T) {
 	b := sim.NewPipe("b", units.MBps(100), 0, 0)
 	var end sim.Time
 	size := int64(10 * units.MB)
-	Transfer(e, []PathStage{{Stage: a}, {Stage: b}}, size, DefaultChunk, 0, func(at sim.Time) { end = at })
+	Transfer(e, []PathStage{{Stage: a}, {Stage: b}}, size, DefaultChunk, 0, onDone(e, func(at sim.Time) { end = at }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +58,7 @@ func TestTransferBottleneckStage(t *testing.T) {
 	var end sim.Time
 	size := int64(50 * units.MB)
 	Transfer(e, []PathStage{{Stage: fast}, {Stage: slow}, {Stage: fast}}, size, DefaultChunk, 0,
-		func(at sim.Time) { end = at })
+		onDone(e, func(at sim.Time) { end = at }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestTransferLatencyAdds(t *testing.T) {
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var end sim.Time
 	Transfer(e, []PathStage{{Stage: p, Latency: 5 * units.Microsecond}}, 1, 1024, 0,
-		func(at sim.Time) { end = at })
+		onDone(e, func(at sim.Time) { end = at }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +90,8 @@ func TestTwoTransfersShareStageFairly(t *testing.T) {
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var endA, endB sim.Time
 	size := int64(10 * units.MB)
-	Transfer(e, []PathStage{{Stage: p}}, size, DefaultChunk, 0, func(at sim.Time) { endA = at })
-	Transfer(e, []PathStage{{Stage: p}}, size, DefaultChunk, 0, func(at sim.Time) { endB = at })
+	Transfer(e, []PathStage{{Stage: p}}, size, DefaultChunk, 0, onDone(e, func(at sim.Time) { endA = at }))
+	Transfer(e, []PathStage{{Stage: p}}, size, DefaultChunk, 0, onDone(e, func(at sim.Time) { endB = at }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +127,7 @@ func TestSwitchOutputPortContention(t *testing.T) {
 			{Stage: sw.OutPort(2), Latency: sw.Crossing()},
 			{Stage: dst.Down()},
 		}
-		Transfer(e, path, size, DefaultChunk, 0, func(at sim.Time) { ends = append(ends, at) })
+		Transfer(e, path, size, DefaultChunk, 0, onDone(e, func(at sim.Time) { ends = append(ends, at) }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -142,8 +148,8 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 	l := NewLink("x", linkCfg(100))
 	size := int64(10 * units.MB)
 	var upEnd, downEnd sim.Time
-	Transfer(e, []PathStage{{Stage: l.Up()}}, size, DefaultChunk, 0, func(at sim.Time) { upEnd = at })
-	Transfer(e, []PathStage{{Stage: l.Down()}}, size, DefaultChunk, 0, func(at sim.Time) { downEnd = at })
+	Transfer(e, []PathStage{{Stage: l.Up()}}, size, DefaultChunk, 0, onDone(e, func(at sim.Time) { upEnd = at }))
+	Transfer(e, []PathStage{{Stage: l.Down()}}, size, DefaultChunk, 0, onDone(e, func(at sim.Time) { downEnd = at }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestTransferZeroAndTinySizes(t *testing.T) {
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var n int
 	for _, size := range []int64{0, 1, 7, 8*1024 + 1} {
-		Transfer(e, []PathStage{{Stage: p}}, size, 8*1024, e.Now(), func(sim.Time) { n++ })
+		Transfer(e, []PathStage{{Stage: p}}, size, 8*1024, e.Now(), onDone(e, func(sim.Time) { n++ }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -174,12 +180,12 @@ func TestTransferZeroAndTinySizes(t *testing.T) {
 func TestTransferEmptyPath(t *testing.T) {
 	e := sim.New()
 	called := false
-	Transfer(e, nil, 100, 10, 5, func(at sim.Time) {
+	Transfer(e, nil, 100, 10, 5, onDone(e, func(at sim.Time) {
 		called = true
 		if at != 5 {
 			t.Errorf("empty path completion at %v, want 5", at)
 		}
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,11 @@ func TestFatTreeUplinkContention(t *testing.T) {
 		var last sim.Time
 		for _, dst := range dsts {
 			stages, _ := tr.Between(0, dst)
-			Transfer(eng, stages, size, DefaultChunk, eng.Now(), func(at sim.Time) {
+			Transfer(eng, stages, size, DefaultChunk, eng.Now(), onDone(eng, func(at sim.Time) {
 				if at > last {
 					last = at
 				}
-			})
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -93,11 +93,11 @@ func TestFatTreeUplinkContention(t *testing.T) {
 	var last2 sim.Time
 	for _, dst := range []int{4, 5} { // spines 0 and 1: disjoint uplinks
 		stages, _ := tr2.Between(0, dst)
-		Transfer(eng2, stages, size, DefaultChunk, eng2.Now(), func(at sim.Time) {
+		Transfer(eng2, stages, size, DefaultChunk, eng2.Now(), onDone(eng2, func(at sim.Time) {
 			if at > last2 {
 				last2 = at
 			}
-		})
+		}))
 	}
 	if err := eng2.Run(); err != nil {
 		t.Fatal(err)

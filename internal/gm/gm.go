@@ -134,6 +134,8 @@ type Network struct {
 }
 
 type nodeHW struct {
+	net   *Network
+	node  int
 	bus   *bus.Bus
 	lanai *sim.Station // shared firmware engine
 	sdma  *stallPipe   // host->wire DMA
@@ -146,6 +148,31 @@ type nodeHW struct {
 
 	// acks counts GM reliability ACKs this node's LANai absorbed (nil-safe)
 	acks *metrics.Counter
+}
+
+// nodeHW event kinds: the GM-reliability and staging updates that land on
+// a node after a delay (see HandleEvent).
+const (
+	// hwAck: a GM ACK reached this node's LANai; the second argument is the
+	// send staging (outTx bytes) it releases.
+	hwAck = iota
+	// hwClaimRx: an inbound bulk claims the second argument's bytes of this
+	// node's receive staging.
+	hwClaimRx
+)
+
+// HandleEvent implements sim.Handler for the node-level updates a transfer
+// schedules on its source (the ACK) or destination (the staging claim), on
+// whichever engine owns the node.
+func (hw *nodeHW) HandleEvent(kind, bytes int64) {
+	switch kind {
+	case hwAck:
+		hw.outTx -= bytes
+		hw.lanai.Use(hw.net.engineFor(hw.node).Now(), ackProcess)
+		hw.acks.Inc()
+	case hwClaimRx:
+		hw.outRx += bytes
+	}
 }
 
 // stallPipe is a DMA engine whose per-chunk occupancy inflates while the
@@ -222,6 +249,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("myri%d", i)
 		hw := &nodeHW{
+			net:   n,
+			node:  i,
 			bus:   bus.New(name+"/bus", bus.PCIX64x133),
 			lanai: sim.NewStation(name + "/lanai"),
 			link: fabric.NewLink(name+"/link", fabric.LinkConfig{
@@ -595,41 +624,92 @@ func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
 	)
 }
 
-func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {
-	if ep.net.scale {
-		ep.scaleTransfer(dst, size, bulk, deliver)
-		return
+// op is one in-flight GM send: what its delivery needs to release SRAM
+// staging and run GM reliability. Records are recycled through a per-engine
+// free list — taken on the source's engine at issue, released on the
+// destination's when the payload lands and returned to the source's list —
+// so a healthy send allocates nothing.
+type op struct {
+	ep   *endpoint
+	dst  int
+	size int64
+	bulk bool
+	done sim.Callback
+}
+
+// ops recycles GM send records.
+var ops = sim.NewFreeList[op]()
+
+// HandleEvent implements sim.Handler: the transfer landed intact.
+func (o *op) HandleEvent(int64, int64) { o.delivered() }
+
+// delivered is the delivered-intact path, on the destination's engine:
+// release SRAM staging and run GM reliability — the receiving LANai
+// generates an ACK that the sending LANai must absorb one ack flight later.
+// In domain mode the source's send staging is source-node state, so the
+// ACK event releases it; otherwise it is released here, with the receive
+// side. Then the record is freed and the MPI layer's continuation fires.
+func (o *op) delivered() {
+	n := o.ep.net
+	src, dstHW := n.nodes[o.ep.node], n.nodes[o.dst]
+	dstEng := n.engineFor(o.dst)
+	var ackRelease int64
+	if o.bulk {
+		dstHW.outRx -= o.size
+		if n.scale && dstHW != src {
+			ackRelease = o.size
+		} else {
+			src.outTx -= o.size
+		}
 	}
-	eng := ep.net.eng
-	src := ep.net.nodes[ep.node]
-	dstHW := ep.net.nodes[dst]
+	dstHW.lanai.Use(dstEng.Now(), ackProcess)
+	dstHW.acks.Inc()
+	if dstHW != src {
+		dstEng.CallOn(n.engineFor(o.ep.node), ackFlight+n.skew(o.dst), src, hwAck, ackRelease)
+	}
+	done := o.done
+	ops.Put(dstEng, n.engineFor(o.ep.node), o)
+	done.Fire()
+}
+
+// transfer moves size bytes to dst (bulk: through SRAM staging) and fires
+// done when they have landed.
+//
+// In domain mode the transfer is fault-free by construction (activation
+// refuses fault plans) and untraced, with the staged path split at the
+// wire so each node's hardware state stays on its own engine. The staging
+// and GM-reliability side effects that touch the peer node are routed
+// through cross-domain hops instead of mutated in place: the receiver's
+// outRx staging claim lands one wire flight after issue, the sender's ACK
+// (LANai absorb + outTx release) one ack flight after delivery, each
+// carrying the originating node's skew so commit order stays a pure
+// function of simulated time at every shard count.
+func (ep *endpoint) transfer(dst int, size int64, bulk bool, done sim.Callback) {
+	n := ep.net
+	eng := n.engineFor(ep.node)
+	src := n.nodes[ep.node]
+	dstHW := n.nodes[dst]
+	o := ops.Get(eng)
+	*o = op{ep: ep, dst: dst, size: size, bulk: bulk, done: done}
 	if bulk {
 		src.outTx += size
-		dstHW.outRx += size
-	}
-	// finish is the delivered-intact path: release SRAM staging and run
-	// GM reliability — the receiving LANai generates an ACK that the
-	// sending LANai must absorb.
-	finish := func() {
-		if bulk {
-			src.outTx -= size
-			dstHW.outRx -= size
+		if n.scale && dstHW != src {
+			eng.CallOn(n.engineFor(dst), wireLatency+n.skew(ep.node), dstHW, hwClaimRx, size)
+		} else {
+			dstHW.outRx += size
 		}
-		dstHW.lanai.Use(eng.Now(), ackProcess)
-		dstHW.acks.Inc()
-		if dstHW != src {
-			eng.Schedule(ackFlight, func() {
-				src.lanai.Use(eng.Now(), ackProcess)
-				src.acks.Inc()
-			})
-		}
-		deliver()
 	}
-	rec := ep.net.rec
+	if n.scale {
+		path, srcN := ep.resolved(dst)
+		fabric.TransferCut(eng, n.engineFor(dst), path, srcN,
+			size, fabric.ChunkFor(size), eng.Now(), sim.Callback{H: o})
+		return
+	}
+	rec := n.rec
 	tid, rail := rec.Cur(), rec.CurRail()
-	inj := ep.net.inj
+	inj := n.inj
 	if inj == nil || dst == ep.node {
-		ep.wireAttempt(ep.path(dst), tid, rail, 0, size, eng.Now(), func(sim.Time) { finish() })
+		fabric.TransferTraced(ep.net.eng, ep.path(dst), size, fabric.ChunkFor(size), eng.Now(), ep.net.rec, tid, ep.node, rail, 0, sim.Callback{H: o})
 		return
 	}
 	start := eng.Now() + inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
@@ -661,128 +741,58 @@ func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {
 			return
 		}
 		path := ep.path(dst)
-		fate := fabric.LastRouteOf(ep.net.topo)
+		fate := fabric.LastRouteOf(n.topo)
 		if fate.State == fabric.RoutePartitioned {
 			release()
 			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
 			return
 		}
-		ep.wireAttempt(path, tid, rail, uint8(attempt-1), size, at,
-			func(end sim.Time) {
-				v := faults.Drop // black-holed: structural loss, no PRNG draw
-				if fate.State != fabric.RouteBlackhole {
-					v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-				}
-				if v == faults.Deliver {
-					finish()
-					return
-				}
-				if attempt > gmRetry.Limit {
-					release()
-					ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-						Attempts: attempt, Bytes: size, Proto: "GM send-token resend"})
-					return
-				}
-				delay := gmRetry.Delay(attempt)
-				attempt++
-				ep.retried()
-				rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-				rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-				eng.At(end+delay, func() {
-					src.lanai.Use(eng.Now(), ackProcess)
-					try(eng.Now())
-				})
+		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at, ep.net.rec, tid, ep.node, rail, uint8(attempt-1), sim.Callback{H: sim.Func(func() {
+			end := eng.Now()
+			v := faults.Drop // black-holed: structural loss, no PRNG draw
+			if fate.State != fabric.RouteBlackhole {
+				v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
+			}
+			if v == faults.Deliver {
+				o.delivered()
+				return
+			}
+			if attempt > gmRetry.Limit {
+				release()
+				ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
+					Attempts: attempt, Bytes: size, Proto: "GM send-token resend"})
+				return
+			}
+			delay := gmRetry.Delay(attempt)
+			attempt++
+			ep.retried()
+			rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
+			rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
+			eng.At(end+delay, func() {
+				src.lanai.Use(eng.Now(), ackProcess)
+				try(eng.Now())
 			})
+		})})
 	}
 	try(start)
 }
 
-// scaleTransfer is the domain-mode transfer: fault-free by construction
-// (activation refuses fault plans) and untraced, with the staged path split
-// at the wire so each node's hardware state stays on its own engine. The
-// SRAM staging and GM-reliability side effects that touch the peer node are
-// routed through cross-domain hops instead of mutated in place:
-//
-//   - the receiver's outRx staging claim lands one wire flight after issue,
-//   - the sender's ACK (LANai absorb + outTx release) lands one ack flight
-//     after delivery,
-//
-// each carrying the originating node's skew so commit order stays a pure
-// function of simulated time at every shard count.
-func (ep *endpoint) scaleTransfer(dst int, size int64, bulk bool, deliver func()) {
-	eng := ep.net.engineFor(ep.node)
-	dstEng := ep.net.engineFor(dst)
-	src := ep.net.nodes[ep.node]
-	dstHW := ep.net.nodes[dst]
-	if bulk {
-		src.outTx += size
-		if dstHW == src {
-			dstHW.outRx += size
-		} else {
-			eng.ScheduleOn(dstEng, wireLatency+ep.net.skew(ep.node), func() {
-				dstHW.outRx += size
-			})
-		}
-	}
-	path, srcN := ep.resolved(dst)
-	fabric.TransferCut(eng, dstEng, path, srcN,
-		size, fabric.ChunkFor(size), eng.Now(), func(sim.Time) {
-			if bulk {
-				dstHW.outRx -= size
-			}
-			dstHW.lanai.Use(dstEng.Now(), ackProcess)
-			dstHW.acks.Inc()
-			if dstHW == src {
-				if bulk {
-					src.outTx -= size
-				}
-			} else {
-				dstEng.ScheduleOn(eng, ackFlight+ep.net.skew(dst), func() {
-					if bulk {
-						src.outTx -= size
-					}
-					src.lanai.Use(eng.Now(), ackProcess)
-					src.acks.Inc()
-				})
-			}
-			deliver()
-		})
-}
-
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path.
-func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := ep.net.rec
-	if rec.Sampled(tid) {
-		inner := done
-		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, ep.node, rail, attempt, -1, at, end, size)
-			inner(end)
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, ep.node, rail, attempt, done)
-		return
-	}
-	fabric.Transfer(ep.net.eng, path, size, fabric.ChunkFor(size), at, done)
-}
-
 // Eager implements dev.Endpoint (gm_send into a pre-posted receive buffer).
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
+func (ep *endpoint) Eager(dst int, size int64, done sim.Callback) {
 	ep.nic.Eager(size)
-	ep.transfer(dst, size+32, false, deliver)
+	ep.transfer(dst, size+32, false, done)
 }
 
 // Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, deliver func()) {
+func (ep *endpoint) Control(dst int, done sim.Callback) {
 	ep.nic.Control()
-	ep.transfer(dst, 64, false, deliver)
+	ep.transfer(dst, 64, false, done)
 }
 
 // Bulk implements dev.Endpoint (gm_directed_send, zero copy).
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
+func (ep *endpoint) Bulk(dst int, size int64, done sim.Callback) {
 	ep.nic.Bulk(size)
-	ep.transfer(dst, size, true, deliver)
+	ep.transfer(dst, size, true, done)
 }
 
 var _ dev.Network = (*Network)(nil)

@@ -44,7 +44,7 @@ func TestLinkIsUniDirectionalBottleneck(t *testing.T) {
 	ep := n.NewEndpoint(0)
 	size := int64(4 * units.MB)
 	var at sim.Time
-	ep.Bulk(1, size, func() { at = eng.Now() })
+	ep.Bulk(1, size, sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +64,9 @@ func TestSRAMStagingStallsOnBidirBulk(t *testing.T) {
 		ep1 := n.NewEndpoint(1)
 		size := int64(4 * units.MB)
 		var done sim.Time
-		ep0.Bulk(1, size, func() { done = eng.Now() })
+		ep0.Bulk(1, size, sim.Callback{H: sim.Func(func() { done = eng.Now() })})
 		if bidir {
-			ep1.Bulk(0, size, func() {})
+			ep1.Bulk(0, size, sim.Callback{H: sim.Func(func() {})})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestACKsConsumeLANai(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, DefaultConfig(2))
 	ep := n.NewEndpoint(0)
-	ep.Eager(1, 64, func() {})
+	ep.Eager(1, 64, sim.Callback{H: sim.Func(func() {})})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEagerThresholdOverride(t *testing.T) {
 func TestUtilizations(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, DefaultConfig(2))
-	n.NewEndpoint(0).Eager(1, 4096, func() {})
+	n.NewEndpoint(0).Eager(1, 4096, sim.Callback{H: sim.Func(func() {})})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestLoopbackPath(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, Config{Nodes: 1, SwitchPorts: 8})
 	done := false
-	n.NewEndpoint(0).Eager(0, 64, func() { done = true })
+	n.NewEndpoint(0).Eager(0, 64, sim.Callback{H: sim.Func(func() { done = true })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func Latency(p cluster.Platform, size int64) sim.Time {
 			ep = ep1
 			dst = 0
 		}
-		ep.Eager(dst, size, func() { bounce(n + 1) })
+		ep.Eager(dst, size, sim.Callback{H: sim.Func(func() { bounce(n + 1) })})
 	}
 	eng.Schedule(0, func() { bounce(0) })
 	if err := eng.Run(); err != nil {
@@ -73,12 +73,12 @@ func Bandwidth(p cluster.Platform, size int64, inflight int) float64 {
 		for outstanding < inflight && issued < messages {
 			issued++
 			outstanding++
-			ep0.Bulk(1, size, func() {
+			ep0.Bulk(1, size, sim.Callback{H: sim.Func(func() {
 				outstanding--
 				completed++
 				last = eng.Now()
 				issue()
-			})
+			})})
 		}
 	}
 	eng.Schedule(0, issue)
@@ -126,12 +126,12 @@ func BiBandwidth(p cluster.Platform, size int64, inflight int) float64 {
 			for outstanding < inflight && issued < messages {
 				issued++
 				outstanding++
-				ep.Bulk(dst, size, func() {
+				ep.Bulk(dst, size, sim.Callback{H: sim.Func(func() {
 					outstanding--
 					completed++
 					last = eng.Now()
 					issue()
-				})
+				})})
 			}
 		}
 		eng.Schedule(0, issue)

@@ -84,7 +84,7 @@ func (r *Rank) hwBcast(mc hwMulticaster, buf memreg.Buf, root int) {
 	}
 	ps.mcTaken++
 	want := ps.mcTaken
-	ps.waitFor(r.p, "hw-bcast", func() bool { return ps.mcSeen >= want })
+	ps.waitFor(r.p, waitOp{desc: "hw-bcast"}, func() bool { return ps.mcSeen >= want })
 	ps.busy(r.p, ps.ep.RecvOverhead(buf.Size)+ps.ep.CopyTime(buf.Size))
 }
 

@@ -113,7 +113,7 @@ const tagScan = -18
 func (r *Rank) Probe(src, tag int) Status {
 	ps := r.ps
 	var found *inMsg
-	ps.waitFor(r.p, "probe", func() bool {
+	ps.waitFor(r.p, waitOp{desc: "probe"}, func() bool {
 		found = ps.matchUnexpected(commWorldID, src, tag)
 		return found != nil
 	})

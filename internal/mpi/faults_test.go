@@ -80,6 +80,33 @@ func TestWatchdogTimeoutTyped(t *testing.T) {
 	}
 }
 
+// The wait description a timed-out send reports is built only when the
+// error is, from the request's fields; its text must stay exactly the
+// "send to rank N (tag T, S B)" form, in TimeoutError.Op and in the error
+// string.
+func TestWatchdogTimeoutNamesSend(t *testing.T) {
+	w := MustWorld(Config{Net: cluster.IBA().New(2), Procs: 2, Timeout: 100 * units.Microsecond})
+	err := w.Run(func(r *Rank) {
+		if r.Rank() == 0 {
+			r.Send(r.Malloc(64*units.KB), 1, 7) // rendezvous: waits for a CTS
+			return
+		}
+		r.Compute(units.Second) // rank 1 posts its receive far too late
+		r.Recv(r.Malloc(64*units.KB), 0, 7)
+	})
+	var te *TimeoutError
+	if !errors.As(err, &te) {
+		t.Fatalf("err %v carries no *TimeoutError", err)
+	}
+	const op = "send to rank 1 (tag 7, 65536 B)"
+	if te.Rank != 0 || te.Op != op {
+		t.Errorf("TimeoutError{Rank: %d, Op: %q}, want rank 0 and %q", te.Rank, te.Op, op)
+	}
+	if want := "mpi: rank 0: " + op + ": no progress after "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
+	}
+}
+
 // A fault plan auto-arms the watchdog at faults.DefaultTimeout, so even a
 // pathological plan cannot deadlock the world; an explicit negative
 // Timeout disables the watchdog again.

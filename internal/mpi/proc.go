@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strconv"
 
 	"mpinet/internal/dev"
@@ -32,7 +33,10 @@ type procState struct {
 	posted []*Request // receive queue, post order
 	unexp  []*inMsg   // unexpected messages, arrival order
 
-	actions  []func(p *sim.Proc) // host-driven protocol steps pending
+	// actions queues the host-driven protocol steps pending on this rank;
+	// poll runs them from actHead and rewinds the queue once it drains.
+	actions  []action
+	actHead  int
 	progress sim.Cond
 
 	hostBusy sim.Time
@@ -46,7 +50,8 @@ type procState struct {
 
 	// waitWhy is the rank's default wait reason ("rank<N>:wait"), built
 	// once: waitOne runs on every blocking completion, and formatting the
-	// same string there dominated the MPI layer's allocation profile.
+	// same string there dominated the MPI layer's allocation profile. It is
+	// also the park reason of every point-to-point wait (see waitOp).
 	waitWhy string
 
 	// quiet suppresses point-to-point profiling while a collective runs so
@@ -67,10 +72,8 @@ type procState struct {
 	// collective resolves it, and rebuilding the world rank list per call
 	// was the single largest allocation site in 1k-rank worlds.
 	worldComm *Comm
-	// reqFree recycles Request records of blocking operations (the request
-	// never escapes the caller, so waitOne can return it to the pool);
-	// reqAllocs counts pool misses for the zero-alloc gates.
-	reqFree   []*Request
+	// reqAllocs counts Request pool misses (see newRequest) for the
+	// zero-alloc gates.
 	reqAllocs int
 	// Reusable collective scratch (offsets, counts, request lists).
 	// Collectives are not reentrant per rank, so one set suffices.
@@ -169,17 +172,90 @@ const (
 	chShm
 )
 
-// inMsg is an arrived-but-not-completed message at the receiver.
+// inMsg is a message envelope: built by the sender, carried through the
+// device as the target of its typed continuations (see msgArrive and the
+// other steps), queued at the receiver until matched, and recycled once
+// the receive completes (Request.complete). Envelopes come from a
+// per-engine free list: taken on the sender's engine, released on the
+// receiver's and returned to the sender's list.
 type inMsg struct {
 	comm     int // communicator context id
 	src, tag int // src is a world rank
 	size     int64
-	seq      int64
 	tid      msgtrace.ID // trace context, carried sender -> receiver
 	kind     msgKind
 	ch       chKind
-	sender   *Request // rendezvous: the sender's request, for CTS routing
 	matched  bool
+	dst      *procState // the receiving rank
+	sender   *Request   // rendezvous: the sender's request, for CTS routing
+	recv     *Request   // rendezvous: the matched receive, for bulk completion
+	// matchStart is when a NIC-matching device began matching the arrival,
+	// for the match span.
+	matchStart sim.Time
+}
+
+// msgs recycles message envelopes.
+var msgs = sim.NewFreeList[inMsg]()
+
+// newMsg takes an envelope for req's message to dst from this rank's
+// engine's free list.
+func (ps *procState) newMsg(req *Request, kind msgKind, ch chKind, dst *procState) *inMsg {
+	m := msgs.Get(ps.eng)
+	*m = inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, tid: req.tid, kind: kind, ch: ch, dst: dst}
+	return m
+}
+
+// Envelope steps: the first argument of an envelope's typed continuation.
+const (
+	// msgArrive: the message landed at the receiver (device or shmem).
+	msgArrive = iota
+	// msgMatched: a NIC-matching device finished matching the arrival.
+	msgMatched
+	// msgCTS: the receiver's clear-to-send reached the rendezvous sender.
+	msgCTS
+	// msgBulkDone: the rendezvous payload is in the receive buffer.
+	msgBulkDone
+)
+
+// HandleEvent implements sim.Handler: the device, the shared-memory channel
+// or the NIC matcher reports the next step of this message.
+func (m *inMsg) HandleEvent(step, _ int64) {
+	switch step {
+	case msgArrive:
+		m.dst.arrive(m)
+	case msgMatched:
+		ps := m.dst
+		ps.world.rec.Span(m.tid, msgtrace.StageMatch, ps.rank, -1, 0, -1, m.matchStart, ps.eng.Now(), m.size)
+		ps.arriveMatched(m)
+	case msgCTS:
+		m.sender.ps.arriveCTS(m)
+	case msgBulkDone:
+		m.dst.bulkDone(m)
+	}
+}
+
+// actKind names a host-driven protocol step.
+type actKind uint8
+
+const (
+	// actDeliverEager charges cost, records the deliver span and completes
+	// the matched eager receive.
+	actDeliverEager actKind = iota
+	// actAcceptRndv registers the receive buffer, parses the RTS and sends
+	// the CTS.
+	actAcceptRndv
+	// actStartBulk parses the CTS at the sender and starts the bulk.
+	actStartBulk
+	// actRndvDeliver completes a rendezvous receive whose payload landed.
+	actRndvDeliver
+)
+
+// action is one queued host-driven protocol step (see runAction).
+type action struct {
+	kind actKind
+	req  *Request
+	msg  *inMsg
+	cost sim.Time
 }
 
 // record appends a timeline event if the world collects one.
@@ -208,8 +284,8 @@ func (ps *procState) busy(p *sim.Proc, d sim.Time) {
 // a rank parked inside an MPI call picks it up immediately. Steps enqueued
 // while the rank computes outside MPI wait for its next MPI call — exactly
 // the host-driven rendezvous limitation the overlap benchmark measures.
-func (ps *procState) enqueue(step func(p *sim.Proc)) {
-	ps.actions = append(ps.actions, step)
+func (ps *procState) enqueue(a action) {
+	ps.actions = append(ps.actions, a)
 	ps.progress.Broadcast()
 }
 
@@ -221,11 +297,14 @@ func (ps *procState) poll(p *sim.Proc) {
 	if ps.world.rankDead(ps.rank) {
 		panic(&rankKilled{rank: ps.rank})
 	}
-	for len(ps.actions) > 0 {
-		step := ps.actions[0]
-		ps.actions = ps.actions[1:]
-		step(p)
+	for ps.actHead < len(ps.actions) {
+		a := ps.actions[ps.actHead]
+		ps.actions[ps.actHead] = action{}
+		ps.actHead++
+		ps.runAction(p, a)
 	}
+	ps.actions = ps.actions[:0]
+	ps.actHead = 0
 }
 
 // waitFor blocks the rank inside the MPI library until pred holds,
@@ -235,8 +314,12 @@ func (ps *procState) poll(p *sim.Proc) {
 // on a faulty network a rank can starve forever (peer dead, message
 // unrecoverable), and the watchdog converts that hang into a typed,
 // attributed error.
-func (ps *procState) waitFor(p *sim.Proc, why string, pred func() bool) {
+func (ps *procState) waitFor(p *sim.Proc, op waitOp, pred func() bool) {
 	w := ps.world
+	why := op.desc
+	if why == "" {
+		why = ps.waitWhy
+	}
 	if w.cfg.Timeout > 0 {
 		// The watchdog is a reusable per-rank timer: one allocation the first
 		// time this rank waits on a watched world, then Arm/Stop per wait —
@@ -263,11 +346,40 @@ func (ps *procState) waitFor(p *sim.Proc, why string, pred func() bool) {
 		if ps.wdFired {
 			now := ps.eng.Now()
 			w.rec.Flight(msgtrace.FlightTimeout, now, ps.rank, 0, msgtrace.StageWait, int64(w.cfg.Timeout), 0)
-			w.rec.Freeze("watchdog timeout: "+why, now, ps.rank, msgtrace.StageWait, 0)
-			w.fail(&TimeoutError{Rank: ps.rank, Op: why, After: w.cfg.Timeout})
+			desc := op.String()
+			w.rec.Freeze("watchdog timeout: "+desc, now, ps.rank, msgtrace.StageWait, 0)
+			w.fail(&TimeoutError{Rank: ps.rank, Op: desc, After: w.cfg.Timeout})
 			panic(&jobAbort{err: w.fault})
 		}
 		ps.progress.Wait(p, why)
+	}
+}
+
+// waitOp describes what a blocked rank waits for, as the TimeoutError or
+// RankFailedError a wait can end in reports it. A point-to-point wait
+// carries its request's fields and is formatted only when such an error is
+// built — formatting per wait was a measurable share of a faulted run's
+// allocations — and parks under the rank's fixed reason (waitWhy). Other
+// waits carry a fixed description, which is also their park reason.
+type waitOp struct {
+	desc   string // fixed description; empty for a point-to-point wait
+	isSend bool
+	peer   int // destination of a send, source pattern of a receive
+	tag    int
+	size   int64
+}
+
+// String is the operation as error messages name it.
+func (op waitOp) String() string {
+	switch {
+	case op.desc != "":
+		return op.desc
+	case op.isSend:
+		return fmt.Sprintf("send to rank %d (tag %d, %d B)", op.peer, op.tag, op.size)
+	case op.peer == AnySource:
+		return fmt.Sprintf("recv from any source (tag %d)", op.tag)
+	default:
+		return fmt.Sprintf("recv from rank %d (tag %d)", op.peer, op.tag)
 	}
 }
 

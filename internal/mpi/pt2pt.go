@@ -93,8 +93,8 @@ func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
 		rec.Span(req.tid, msgtrace.StageSend, ps.rank, -1, 0, -1, start, now-copyCost, req.size)
 		rec.Span(req.tid, msgtrace.StageCopy, ps.rank, -1, 0, -1, now-copyCost, now, req.size)
 	}
-	m := &inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, seq: req.seq, tid: req.tid, kind: eagerMsg, ch: chShm}
-	ch.Deliver(func() { dstPS.arrive(m) })
+	m := ps.newMsg(req, eagerMsg, chShm, dstPS)
+	ch.Deliver(sim.Callback{H: m, A: msgArrive})
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
 	ps.finishReq(req, "send")
@@ -123,9 +123,9 @@ func (ps *procState) eagerSend(p *sim.Proc, req *Request, dstPS *procState) {
 			rec.Span(req.tid, msgtrace.StageCopy, ps.rank, -1, 0, -1, start+sendCost, start+sendCost+copyCost, req.size)
 		}
 	}
-	m := &inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, seq: req.seq, tid: req.tid, kind: eagerMsg, ch: chNet}
+	m := ps.newMsg(req, eagerMsg, chNet, dstPS)
 	rec.SetCur(req.tid)
-	ps.ep.Eager(dstPS.node, req.size, func() { dstPS.arrive(m) })
+	ps.ep.Eager(dstPS.node, req.size, sim.Callback{H: m, A: msgArrive})
 	rec.ClearCur()
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
@@ -146,9 +146,10 @@ func (ps *procState) rndvSend(p *sim.Proc, req *Request, dstPS *procState) {
 		rec.Span(req.tid, msgtrace.StageRegister, ps.rank, -1, 0, -1, start+sendCost, start+sendCost+regCost, req.size)
 	}
 	req.hsStart = ps.eng.Now()
-	m := &inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, seq: req.seq, tid: req.tid, kind: rtsMsg, ch: chNet, sender: req}
+	m := ps.newMsg(req, rtsMsg, chNet, dstPS)
+	m.sender = req
 	rec.SetCur(req.tid)
-	ps.ep.Control(dstPS.node, func() { dstPS.arrive(m) })
+	ps.ep.Control(dstPS.node, sim.Callback{H: m, A: msgArrive})
 	rec.ClearCur()
 }
 
@@ -162,16 +163,8 @@ func (ps *procState) arrive(m *inMsg) {
 		ps.markNICPeer(m.src)
 	}
 	if nm, ok := ps.ep.(dev.NICMatcher); ok && m.ch == chNet {
-		pending := len(ps.posted) + len(ps.unexp)
-		if rec := ps.world.rec; rec.Sampled(m.tid) {
-			start := ps.eng.Now()
-			nm.MatchDelay(pending, func() {
-				rec.Span(m.tid, msgtrace.StageMatch, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-				ps.arriveMatched(m)
-			})
-			return
-		}
-		nm.MatchDelay(pending, func() { ps.arriveMatched(m) })
+		m.matchStart = ps.eng.Now()
+		nm.MatchDelay(len(ps.posted)+len(ps.unexp), sim.Callback{H: m, A: msgMatched})
 		return
 	}
 	ps.arriveMatched(m)
@@ -194,137 +187,152 @@ func (ps *procState) arriveMatched(m *inMsg) {
 	ps.world.rec.Span(m.tid, msgtrace.StageWait, ps.rank, -1, 0, -1, r.born, ps.eng.Now(), m.size)
 	switch m.kind {
 	case eagerMsg:
-		ps.deliverEager(r, m, false)
+		ps.deliverEager(r, m, nil)
 	case rtsMsg:
-		ps.acceptRndv(r, m, false)
+		ps.acceptRndv(r, m, nil)
 	}
 }
 
-// deliverEager completes a matched eager receive. inline reports whether we
-// are already running on the receiving rank's process (receive posted
-// against an unexpected arrival) — then p is valid and costs are paid
-// directly; otherwise a host action is enqueued (or, for NIC-matching
-// devices with a pre-posted receive, completion is free and immediate).
-func (ps *procState) deliverEager(r *Request, m *inMsg, inline bool, pOpt ...*sim.Proc) {
-	finish := func() { r.complete(m.src, m.tag, m.size) }
-	// work charges the completion cost on the rank's process and records the
-	// receive-side span over exactly the charged interval.
-	work := func(p *sim.Proc, cost sim.Time) {
-		start := ps.eng.Now()
-		ps.busy(p, cost)
-		ps.world.rec.Span(m.tid, msgtrace.StageDeliver, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-		finish()
-	}
+// deliverEager completes a matched eager receive. p is the receiving rank's
+// process when we are already running on it (receive posted against an
+// unexpected arrival) — then costs are paid directly; with p nil a host
+// action is enqueued (or, for NIC-matching devices with a pre-posted
+// receive, completion is free and immediate).
+func (ps *procState) deliverEager(r *Request, m *inMsg, p *sim.Proc) {
 	switch {
 	case m.ch == chShm:
 		ch := ps.world.shm[ps.node]
 		copyCost := ch.CopyTime(m.size)
 		ch.CountCopy(m.size, copyCost)
-		cost := ch.HalfHandshake() + copyCost
-		if inline {
-			work(pOpt[0], cost)
-		} else {
-			ps.enqueue(func(p *sim.Proc) { work(p, cost) })
-		}
-	case ps.ep.NICProgress() && !inline:
+		ps.deliverWork(p, r, m, ch.HalfHandshake()+copyCost)
+	case ps.ep.NICProgress() && p == nil:
 		// Pre-posted receive on a NIC-matching device: payload lands in the
 		// user buffer with no host involvement.
-		finish()
-	case ps.ep.NICProgress() && inline:
+		r.complete(m.src, m.tag, m.size)
+	case ps.ep.NICProgress():
 		// Unexpected on a NIC-matching device: drain from NIC buffering.
 		ps.eagerCopies.Inc()
-		work(pOpt[0], ps.ep.CopyTime(m.size))
+		ps.deliverWork(p, r, m, ps.ep.CopyTime(m.size))
 	default:
 		ps.eagerCopies.Inc()
-		cost := ps.ep.RecvOverhead(m.size) + ps.ep.CopyTime(m.size)
-		if inline {
-			work(pOpt[0], cost)
-		} else {
-			ps.enqueue(func(p *sim.Proc) { work(p, cost) })
-		}
+		ps.deliverWork(p, r, m, ps.ep.RecvOverhead(m.size)+ps.ep.CopyTime(m.size))
 	}
 }
 
+// deliverWork charges an eager receive's completion cost on the rank's
+// process, records the receive-side span over exactly the charged interval
+// and completes the receive — now when p is the running process, as a
+// queued host action when p is nil.
+func (ps *procState) deliverWork(p *sim.Proc, r *Request, m *inMsg, cost sim.Time) {
+	if p == nil {
+		ps.enqueue(action{kind: actDeliverEager, req: r, msg: m, cost: cost})
+		return
+	}
+	start := ps.eng.Now()
+	ps.busy(p, cost)
+	ps.world.rec.Span(m.tid, msgtrace.StageDeliver, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
+	r.complete(m.src, m.tag, m.size)
+}
+
 // acceptRndv reacts to a matched RTS: make the receive buffer NIC-usable
-// and send the CTS. On NIC-matching devices the NIC does this without the
-// host.
-func (ps *procState) acceptRndv(r *Request, m *inMsg, inline bool, pOpt ...*sim.Proc) {
-	rec := ps.world.rec
-	sendCTS := func() {
-		srcPS := ps.world.procs[m.src]
-		rec.SetCur(m.tid)
-		ps.ep.Control(srcPS.node, func() { srcPS.arriveCTS(m, ps, r) })
-		rec.ClearCur()
-	}
-	// prep registers the receive buffer and parses the RTS on the host,
-	// recording the acquire as the receiver's registration span.
-	prep := func(p *sim.Proc) {
-		start := ps.eng.Now()
-		ps.busy(p, rndvStep+ps.ep.AcquireBuf(r.buf))
-		rec.Span(m.tid, msgtrace.StageRegister, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-	}
+// and send the CTS — on NIC-matching devices the NIC does this without the
+// host; otherwise on p, the running receiving process, or as a queued host
+// action when p is nil.
+func (ps *procState) acceptRndv(r *Request, m *inMsg, p *sim.Proc) {
+	m.recv = r
 	switch {
 	case ps.ep.NICProgress():
 		// Buffer acquisition was paid when the receive was posted.
-		sendCTS()
-	case inline:
-		prep(pOpt[0])
-		sendCTS()
+		ps.sendCTS(m)
+	case p != nil:
+		ps.prepRndv(p, m)
+		ps.sendCTS(m)
 	default:
-		ps.enqueue(func(p *sim.Proc) {
-			prep(p)
-			sendCTS()
-		})
+		ps.enqueue(action{kind: actAcceptRndv, req: r, msg: m})
 	}
+}
+
+// prepRndv registers the receive buffer and parses the RTS on the host,
+// recording the acquire as the receiver's registration span.
+func (ps *procState) prepRndv(p *sim.Proc, m *inMsg) {
+	start := ps.eng.Now()
+	ps.busy(p, rndvStep+ps.ep.AcquireBuf(m.recv.buf))
+	ps.world.rec.Span(m.tid, msgtrace.StageRegister, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
+}
+
+// sendCTS sends the receiver's clear-to-send back to the rendezvous sender.
+func (ps *procState) sendCTS(m *inMsg) {
+	rec := ps.world.rec
+	rec.SetCur(m.tid)
+	ps.ep.Control(m.sender.ps.node, sim.Callback{H: m, A: msgCTS})
+	rec.ClearCur()
 }
 
 // arriveCTS reacts, at the sender, to the receiver's clear-to-send: start
 // the zero-copy bulk transfer.
-func (ps *procState) arriveCTS(m *inMsg, dstPS *procState, r *Request) {
-	rec := ps.world.rec
+func (ps *procState) arriveCTS(m *inMsg) {
 	// The RTS->CTS round trip the sender just completed is the rendezvous
 	// handshake: it started when the RTS left (hsStart) and ends now.
-	rec.Span(m.tid, msgtrace.StageHandshake, ps.rank, -1, 0, -1, m.sender.hsStart, ps.eng.Now(), m.size)
-	startBulk := func() {
-		rec.SetCur(m.tid)
-		ps.ep.Bulk(dstPS.node, m.size, func() {
-			// Payload is in the receiver's user buffer. The bulk completion
-			// runs on the receiver's domain; the sender-side FIN must land on
-			// the sender's own engine. The hop is taken whenever the nodes
-			// differ — not only when the engines do — so its extra latency is
-			// identical at every shard count, and it carries the receiver
-			// node's deterministic skew like every other cross-domain event.
-			w := ps.world
-			if w.scale && dstPS.node != ps.node {
-				dstPS.eng.ScheduleOn(ps.eng, w.finLat+w.skew(dstPS.node), func() {
-					m.sender.completeSend()
-				})
-			} else {
-				m.sender.completeSend()
-			}
-			if dstPS.ep.NICProgress() {
-				r.complete(m.src, m.tag, m.size)
-			} else {
-				dstPS.enqueue(func(p *sim.Proc) {
-					start := dstPS.eng.Now()
-					dstPS.busy(p, dstPS.ep.RecvOverhead(m.size))
-					rec.Span(m.tid, msgtrace.StageDeliver, dstPS.rank, -1, 0, -1, start, dstPS.eng.Now(), m.size)
-					r.complete(m.src, m.tag, m.size)
-				})
-			}
-		})
-		rec.ClearCur()
-	}
+	ps.world.rec.Span(m.tid, msgtrace.StageHandshake, ps.rank, -1, 0, -1, m.sender.hsStart, ps.eng.Now(), m.size)
 	if ps.ep.NICProgress() {
-		startBulk()
+		ps.startBulk(m)
 		return
 	}
-	ps.enqueue(func(p *sim.Proc) {
+	ps.enqueue(action{kind: actStartBulk, msg: m})
+}
+
+// startBulk pushes the rendezvous payload to the receiver.
+func (ps *procState) startBulk(m *inMsg) {
+	rec := ps.world.rec
+	rec.SetCur(m.tid)
+	ps.ep.Bulk(m.dst.node, m.size, sim.Callback{H: m, A: msgBulkDone})
+	rec.ClearCur()
+}
+
+// bulkDone runs at the receiver when the rendezvous payload is in its user
+// buffer: complete the sender's request, then the receive. The bulk
+// completion runs on the receiver's domain; the sender-side FIN must land
+// on the sender's own engine. The hop is taken whenever the nodes differ —
+// not only when the engines do — so its extra latency is identical at every
+// shard count, and it carries the receiver node's deterministic skew like
+// every other cross-domain event. The hop targets the sender's request, not
+// the envelope: the receive may complete — and recycle the envelope —
+// before the hop lands.
+func (ps *procState) bulkDone(m *inMsg) {
+	snd, w := m.sender, ps.world
+	if w.scale && ps.node != snd.ps.node {
+		ps.eng.CallOn(snd.ps.eng, w.finLat+w.skew(ps.node), (*sendDone)(snd), 0, 0)
+	} else {
+		snd.completeSend()
+	}
+	if ps.ep.NICProgress() {
+		m.recv.complete(m.src, m.tag, m.size)
+		return
+	}
+	ps.enqueue(action{kind: actRndvDeliver, req: m.recv, msg: m})
+}
+
+// runAction executes one queued host-driven protocol step on the rank's
+// process p, charging its host cost.
+func (ps *procState) runAction(p *sim.Proc, a action) {
+	m, rec := a.msg, ps.world.rec
+	switch a.kind {
+	case actDeliverEager:
+		ps.deliverWork(p, a.req, m, a.cost)
+	case actAcceptRndv:
+		ps.prepRndv(p, m)
+		ps.sendCTS(m)
+	case actStartBulk:
 		start := ps.eng.Now()
 		ps.busy(p, rndvStep)
 		rec.Span(m.tid, msgtrace.StageSend, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-		startBulk()
-	})
+		ps.startBulk(m)
+	case actRndvDeliver:
+		start := ps.eng.Now()
+		ps.busy(p, ps.ep.RecvOverhead(m.size))
+		rec.Span(m.tid, msgtrace.StageDeliver, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
+		a.req.complete(m.src, m.tag, m.size)
+	}
 }
 
 // irecvImpl posts a receive and returns its request.
@@ -363,12 +371,12 @@ func (ps *procState) startRecv(p *sim.Proc, buf memreg.Buf, comm, src, tag int, 
 		ps.postedHW.Set(int64(len(ps.posted)))
 		switch m.kind {
 		case eagerMsg:
-			ps.deliverEager(r, m, true, p)
+			ps.deliverEager(r, m, p)
 		case rtsMsg:
 			if ps.ep.NICProgress() {
 				ps.busy(p, ps.ep.RecvOverhead(buf.Size)+ps.ep.AcquireBuf(buf))
 			}
-			ps.acceptRndv(r, m, true, p)
+			ps.acceptRndv(r, m, p)
 		}
 		return r
 	}

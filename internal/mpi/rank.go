@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"mpinet/internal/memreg"
 	"mpinet/internal/msgtrace"
 	"mpinet/internal/sim"
@@ -152,11 +150,11 @@ func (r *Rank) Waitany(reqs []*Request) (int, Status) {
 		panic("mpi: Waitany on empty request list")
 	}
 	idx := -1
-	r.ps.waitFor(r.p, "waitany", func() bool {
+	r.ps.waitFor(r.p, waitOp{desc: "waitany"}, func() bool {
 		for i, req := range reqs {
 			if req != nil && !req.done {
 				if failed, ok := r.ps.world.peerFailed(req); ok {
-					r.ps.failPeer(req, failed, "waitany")
+					r.ps.failPeer(req, failed, waitOp{desc: "waitany"})
 				}
 			}
 			if req != nil && req.done {
@@ -180,25 +178,22 @@ func (r *Rank) Sendrecv(sendBuf memreg.Buf, dst, sendTag int, recvBuf memreg.Buf
 }
 
 func (r *Rank) waitOne(req *Request) Status {
-	why := r.ps.waitWhy
+	op := waitOp{desc: r.ps.waitWhy}
 	if r.ps.world.cfg.Timeout > 0 {
-		// With the watchdog armed, spend a little on a descriptive wait
-		// reason so a TimeoutError names the stuck operation and peer.
-		if req.isSend {
-			why = fmt.Sprintf("send to rank %d (tag %d, %d B)", req.peer, req.tag, req.size)
-		} else if req.src == AnySource {
-			why = fmt.Sprintf("recv from any source (tag %d)", req.tag)
-		} else {
-			why = fmt.Sprintf("recv from rank %d (tag %d)", req.src, req.tag)
+		// With the watchdog armed, a TimeoutError names the stuck operation
+		// and peer.
+		op = waitOp{isSend: true, peer: req.peer, tag: req.tag, size: req.size}
+		if !req.isSend {
+			op = waitOp{peer: req.src, tag: req.tag}
 		}
 	}
-	r.ps.waitFor(r.p, why, func() bool {
+	r.ps.waitFor(r.p, op, func() bool {
 		if !req.done {
 			// Rank-death notification: a wait on a dead peer resolves —
 			// exceptionally completed under FaultTolerant, a typed job abort
 			// otherwise — instead of riding the watchdog to a TimeoutError.
 			if failed, ok := r.ps.world.peerFailed(req); ok {
-				r.ps.failPeer(req, failed, why)
+				r.ps.failPeer(req, failed, op)
 			}
 		}
 		return req.done

@@ -37,34 +37,31 @@ type Request struct {
 	rndv    bool
 	done    bool
 	// pooled marks a request that never escapes its blocking caller:
-	// waitOne returns it to the rank's free list once complete.
+	// waitOne returns it to the engine's free list once complete.
 	pooled bool
 
 	matched *inMsg // receives: the arrival this request is bound to
 	status  Status
 }
 
-// newRequest takes a zeroed Request from the rank's free list, allocating
-// only on a pool miss. Requests are owned by their rank's shard, so the
-// per-rank pool needs no locking even in scale mode.
+// reqs recycles the Request records of blocking operations.
+var reqs = sim.NewFreeList[Request]()
+
+// newRequest takes a zeroed Request from the engine's free list, counting
+// a pool miss when it had to allocate. Requests are taken and released on
+// their rank's engine, so the list needs no locking even in scale mode.
 func (ps *procState) newRequest() *Request {
-	if n := len(ps.reqFree); n > 0 {
-		r := ps.reqFree[n-1]
-		ps.reqFree[n-1] = nil
-		ps.reqFree = ps.reqFree[:n-1]
-		return r
+	r, fresh := reqs.Take(ps.eng)
+	if fresh {
+		ps.reqAllocs++
 	}
-	ps.reqAllocs++
-	return &Request{}
+	return r
 }
 
 // releaseReq zeroes a completed pooled request and returns it to the free
 // list. Only waitOne calls it, and only for requests flagged pooled — a
 // request handed to the user (Isend/Irecv) is never recycled.
-func (ps *procState) releaseReq(r *Request) {
-	*r = Request{}
-	ps.reqFree = append(ps.reqFree, r)
-}
+func (ps *procState) releaseReq(r *Request) { reqs.Put(ps.eng, ps.eng, r) }
 
 // Done reports whether the operation has completed (MPI_Test without the
 // progress side effects; use Rank.Test to also drive progress).
@@ -85,13 +82,24 @@ func (r *Request) complete(src, tag int, size int64) {
 	r.done = true
 	r.status = Status{Source: src, Tag: tag, Size: size}
 	r.ps.removePosted(r)
-	if r.matched != nil {
-		r.ps.world.rec.Finish(r.matched.tid, r.ps.eng.Now())
+	if m := r.matched; m != nil {
+		// The envelope's last reader is this completion: read its trace ID,
+		// then return it to the sender's engine.
+		r.ps.world.rec.Finish(m.tid, r.ps.eng.Now())
+		r.matched = nil
+		msgs.Put(r.ps.eng, r.ps.world.procs[m.src].eng, m)
 	}
 	r.ps.record(trace.EvRecvDone, src, tag, r.comm, size)
 	r.ps.finishReq(r, "recv")
 	r.ps.notify()
 }
+
+// sendDone is a rendezvous send request as the target of its domain-mode
+// completion hop (see bulkDone).
+type sendDone Request
+
+// HandleEvent implements sim.Handler: complete the send.
+func (s *sendDone) HandleEvent(int64, int64) { (*Request)(s).completeSend() }
 
 // completeSend marks a send finished.
 func (r *Request) completeSend() {

@@ -109,10 +109,10 @@ func (w *World) peerFailed(req *Request) (int, bool) {
 // exceptionally — Status.Err carries the RankFailedError and the job goes
 // on. Everything else — collectives (internal negative tags), and any death
 // with fault tolerance off — aborts the job with the same typed error.
-func (ps *procState) failPeer(req *Request, failed int, why string) {
+func (ps *procState) failPeer(req *Request, failed int, op waitOp) {
 	w := ps.world
 	now := ps.eng.Now()
-	err := &RankFailedError{Rank: ps.rank, Failed: failed, Op: why, At: now}
+	err := &RankFailedError{Rank: ps.rank, Failed: failed, Op: op.String(), At: now}
 	if w.tolerant && req.tag >= 0 {
 		req.done = true
 		req.status = Status{Source: failed, Tag: req.tag, Err: err}

@@ -37,9 +37,9 @@ type op struct {
 	size int64
 	seq  uint64 // per-(src,dst) order stamp; unused on stripe chunks
 	born sim.Time
-	fire func()      // the MPI layer's deliver callback
-	done bool        // landed or permanently failed; late deliveries suppressed
-	tid  msgtrace.ID // trace context captured at send, carried across re-issues
+	fire sim.Callback // the MPI layer's continuation
+	done bool         // landed or permanently failed; late deliveries suppressed
+	tid  msgtrace.ID  // trace context captured at send, carried across re-issues
 	// attempt counts bond-level issues of this op (0 on the first), so
 	// failover re-issues are distinguishable from the original in the trace
 	// — the NIC's own retry counter restarts per rail.
@@ -176,25 +176,25 @@ func (ep *endpoint) MemoryUsage(npeers int) int64 {
 func (ep *endpoint) OnFault(sink func(err error)) { ep.sink = sink }
 
 // Eager implements dev.Endpoint.
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.net.send(ep, opEager, dst, size, deliver)
+func (ep *endpoint) Eager(dst int, size int64, done sim.Callback) {
+	ep.net.send(ep, opEager, dst, size, done)
 }
 
 // Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.net.send(ep, opControl, dst, 0, deliver)
+func (ep *endpoint) Control(dst int, done sim.Callback) {
+	ep.net.send(ep, opControl, dst, 0, done)
 }
 
 // Bulk implements dev.Endpoint.
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.net.send(ep, opBulk, dst, size, deliver)
+func (ep *endpoint) Bulk(dst int, size int64, done sim.Callback) {
+	ep.net.send(ep, opBulk, dst, size, done)
 }
 
 // send stamps the operation into its pair's sequence space, wakes the
 // health monitors, and routes it by policy: stripe eligible bulks across
 // the healthy set, everything else onto the preferred live rail. With no
 // live rail left the send fails typed immediately.
-func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, deliver func()) {
+func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, done sim.Callback) {
 	n.issued++
 	pr := n.pairOf(ep.node, dst)
 	o := &op{
@@ -204,7 +204,7 @@ func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, deliver f
 		size: size,
 		seq:  pr.sendSeq,
 		born: n.eng.Now(),
-		fire: deliver,
+		fire: done,
 		tid:  n.rec.Cur(),
 	}
 	pr.sendSeq++
@@ -246,7 +246,7 @@ func (ep *endpoint) issue(o *op, r int) {
 		rec.Span(o.tid, msgtrace.StageRail, ep.node, int8(r), o.attempt, -1,
 			start, ep.net.eng.Now(), o.size)
 	}
-	cb := func() { ep.landed(o, r) }
+	cb := sim.Callback{H: o, A: int64(r)}
 	rec.SetCur(o.tid)
 	rec.SetCurRail(int8(r))
 	switch o.kind {
@@ -277,6 +277,9 @@ func (ep *endpoint) stripe(o *op, set []int) {
 		ep.issue(c, r)
 	}
 }
+
+// HandleEvent implements sim.Handler: the operation landed on rail a.
+func (o *op) HandleEvent(a, _ int64) { o.ep.landed(o, int(a)) }
 
 // landed is every member delivery callback: suppress late duplicates,
 // retire the op from its rail FIFO, reassemble stripes, and push the

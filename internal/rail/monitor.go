@@ -157,7 +157,7 @@ func (m *monitor) probe() {
 	m.net.heartbeats.Inc()
 	delivered := false
 	var tm *sim.Timer
-	m.probeEps[src].Control(dst, func() {
+	m.probeEps[src].Control(dst, sim.Callback{H: sim.Func(func() {
 		if delivered {
 			return
 		}
@@ -166,7 +166,7 @@ func (m *monitor) probe() {
 			tm.Stop()
 		}
 		m.hit()
-	})
+	})})
 	if delivered {
 		return // defensive: a zero-latency model could deliver inline
 	}

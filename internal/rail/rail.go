@@ -182,7 +182,7 @@ type pair struct {
 	sendSeq     uint64
 	epoch       uint64
 	nextDeliver uint64
-	held        map[uint64]func()
+	held        map[uint64]sim.Callback
 }
 
 // Network is a bonded multi-rail interconnect: it implements dev.Network
@@ -404,7 +404,7 @@ func (n *Network) pairOf(src, dst int) *pair {
 // arrived runs the receive-side reorder buffer: fire in-order deliveries
 // immediately, hold ahead-of-order ones, and suppress (count) any sequence
 // number that has already fired — the no-duplicate-delivery guarantee.
-func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
+func (n *Network) arrived(src, dst int, seq uint64, fire sim.Callback) {
 	pr := n.pairOf(src, dst)
 	if seq < pr.nextDeliver {
 		n.dupSuppressed.Inc()
@@ -412,7 +412,7 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
 	}
 	if seq > pr.nextDeliver {
 		if pr.held == nil {
-			pr.held = make(map[uint64]func())
+			pr.held = make(map[uint64]sim.Callback)
 		}
 		pr.held[seq] = fire
 		n.heldCount++
@@ -420,7 +420,7 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
 		return
 	}
 	pr.nextDeliver++
-	fire()
+	fire.Fire()
 	for {
 		f, ok := pr.held[pr.nextDeliver]
 		if !ok {
@@ -430,7 +430,7 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
 		pr.nextDeliver++
 		n.heldCount--
 		n.heldHW.Set(n.heldCount)
-		f()
+		f.Fire()
 	}
 }
 

@@ -107,10 +107,10 @@ func (c *Channel) HalfHandshake() sim.Time { return c.cfg.Handshake / 2 }
 func (c *Channel) SegmentSize() int64 { return c.cfg.SegmentSize }
 
 // Deliver schedules the receiver-visible arrival of a message whose
-// sender-side copy completed at time now: the data is visible one handshake
-// later. (The receiver's copy-out cost is charged by the MPI layer when the
-// receiver drains it, using CopyTime.)
-func (c *Channel) Deliver(deliver func()) {
+// sender-side copy completed at time now: done fires one handshake later,
+// when the data is visible. (The receiver's copy-out cost is charged by the
+// MPI layer when the receiver drains it, using CopyTime.)
+func (c *Channel) Deliver(done sim.Callback) {
 	c.msgs.Inc()
-	c.eng.Schedule(c.HalfHandshake(), deliver)
+	c.eng.Call(c.HalfHandshake(), done.H, done.A, done.B)
 }

@@ -50,7 +50,7 @@ func TestDeliverAfterHalfHandshake(t *testing.T) {
 	eng := sim.New()
 	ch := New(eng, DefaultConfig())
 	var at sim.Time
-	ch.Deliver(func() { at = eng.Now() })
+	ch.Deliver(sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,16 @@ package sim
 // serial engine.
 func (e *Engine) Group() *Sharded { return e.owner }
 
-// ScheduleOn schedules fn after delay on dst's shard. On the engine's own
-// shard (or outside a group) it is exactly Schedule; across shards it is a
-// SendTo, so delay must be at least the edge lookahead.
-func (e *Engine) ScheduleOn(dst *Engine, delay Time, fn func()) {
+// CallOn invokes h.HandleEvent(a, b) after delay on dst's shard. On the
+// engine's own shard (or outside a group) it is exactly Call; across shards
+// it is a SendTo, so delay must be at least the edge lookahead. Either way
+// it consumes one sequence number of this engine, like Call.
+func (e *Engine) CallOn(dst *Engine, delay Time, h Handler, a, b int64) {
 	if dst == e || e.owner == nil {
-		e.Schedule(delay, fn)
+		e.Call(delay, h, a, b)
 		return
 	}
-	e.SendTo(dst.shard, delay, funcHandler(fn), 0, 0)
+	e.SendTo(dst.shard, delay, h, a, b)
 }
 
 // MaxNow returns the latest current time across the group's engines — the

@@ -52,7 +52,7 @@ type Handler interface {
 // event is one occurrence in transit between a schedule call and its
 // dispatch. Every callback form funnels into the Handler word: model
 // objects and processes implement Handler directly, and bare func()
-// callbacks ride as funcHandler — a func value is pointer-shaped, so the
+// callbacks ride as Func — a func value is pointer-shaped, so the
 // interface conversion does not box. The current-instant FIFO lane stores
 // events whole; the radix queue splits each into a pointer-free time key
 // and a slab record (see eventHeap).
@@ -63,13 +63,28 @@ type event struct {
 	h    Handler
 }
 
-// funcHandler adapts a plain callback to the Handler interface. Named func
-// types are stored directly in an interface's data word (no allocation), so
-// Schedule/At pay only for the closure the caller already built.
-type funcHandler func()
+// Func adapts a plain callback to the Handler interface. Named func types
+// are stored directly in an interface's data word (no allocation), so
+// Schedule/At — and any Callback built from a Func — pay only for the
+// closure the caller already built. Hot paths use model objects instead.
+type Func func()
 
 // HandleEvent implements Handler by calling the wrapped func.
-func (f funcHandler) HandleEvent(int64, int64) { f() }
+func (f Func) HandleEvent(int64, int64) { f() }
+
+// Callback is a typed continuation: a handler plus the two arguments to
+// invoke it with. It is a plain value, so model layers hand completions to
+// one another — MPI envelope to NIC model to fabric — and store them in
+// long-lived records without allocating, where a func() continuation
+// would heap-allocate a closure per message. A Callback scheduled as an
+// event is e.CallAt(t, c.H, c.A, c.B); one run inline is c.Fire().
+type Callback struct {
+	H    Handler
+	A, B int64
+}
+
+// Fire invokes the continuation now.
+func (c Callback) Fire() { c.H.HandleEvent(c.A, c.B) }
 
 // Timer is a cancellable, re-armable scheduled callback (see
 // Engine.NewTimer and Engine.AfterTimer). It implements Handler so its
@@ -518,6 +533,12 @@ type Engine struct {
 	shard     int
 	windowCap Time
 	echoDist  []Time
+
+	// free holds this engine's record free lists, indexed by FreeList
+	// slot and filled lazily; away lists those holding records released
+	// here whose home is another shard (see recycle.go).
+	free []any
+	away []homeward
 }
 
 // New returns an empty engine with the clock at zero.
@@ -559,7 +580,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
 	}
-	e.enqueue(event{at: t, h: funcHandler(fn)})
+	e.enqueue(event{at: t, h: Func(fn)})
 }
 
 // Call invokes h.HandleEvent(a, b) after delay. It is the allocation-free

@@ -26,7 +26,9 @@
 // (at, source shard, source sequence) order; the destination stamps its own
 // fresh sequence numbers in that order, so the merged event order is a pure
 // function of the model and the byte-identical replay contract holds at
-// every shard count.
+// every shard count. Then the free-list records released during the window
+// on a shard other than their home go back to their home's list (see
+// recycle.go); that moves no event and touches no clock.
 //
 // When only one shard has pending events there is nothing to synchronize
 // with: the solo shard runs an unbounded window, dynamically re-bounded by
@@ -280,6 +282,7 @@ func (s *Sharded) RunUntil(limit Time) error {
 		s.windows++
 		s.runWindow()
 		s.commit()
+		s.returnRecords()
 	}
 
 	// Drained: aggregate the per-shard deadlock views exactly as the serial

@@ -109,7 +109,7 @@ func TestZeroLookaheadFailsTyped(t *testing.T) {
 // undercuts its edge's lookahead is a model bug and panics *LookaheadError.
 func TestSendToLookaheadViolationPanicsTyped(t *testing.T) {
 	s := NewSharded(2, testHop)
-	sink := funcHandler(func() {})
+	sink := Func(func() {})
 	s.Shard(0).Schedule(0, func() {
 		defer func() {
 			var le *LookaheadError
@@ -132,7 +132,7 @@ func TestSendToLookaheadViolationPanicsTyped(t *testing.T) {
 func TestSendToSameShardDegradesToCall(t *testing.T) {
 	s := NewSharded(2, testHop)
 	ran := false
-	h := funcHandler(func() { ran = true })
+	h := Func(func() { ran = true })
 	s.Shard(1).SendTo(1, 0, h, 0, 0)
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -545,7 +545,7 @@ func TestShardCommitBelowPeekedMin(t *testing.T) {
 		s := NewSharded(shards, testHop)
 		dst := s.Shard(shards - 1)
 		var got []Time
-		sink := funcHandler(func() { got = append(got, dst.Now()) })
+		sink := Func(func() { got = append(got, dst.Now()) })
 		dst.At(0, func() { got = append(got, dst.Now()) })
 		dst.At(10*testHop+5, func() { got = append(got, dst.Now()) })
 		src := &peekSender{e: s.Shard(0), sink: sink, left: 10, local: shards == 1}

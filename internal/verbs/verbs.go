@@ -623,7 +623,10 @@ func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
 	)
 }
 
-func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
+// transfer moves size bytes to dst and fires done when they have landed.
+// Healthy transfers hand done straight to the fabric — VAPI keeps no
+// per-message state past the wire — so they allocate nothing.
+func (ep *endpoint) transfer(dst int, size int64, done sim.Callback) {
 	if ep.net.scale {
 		// Domain mode: the attempt is fault-free by construction (activation
 		// refuses fault plans) and untraced; the staged path is split at the
@@ -632,7 +635,7 @@ func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
 		start := eng.Now() + ep.connect(dst)
 		path, srcN := ep.resolved(dst)
 		fabric.TransferCut(eng, ep.net.engineFor(dst), path, srcN,
-			size, fabric.ChunkFor(size), start, func(sim.Time) { deliver() })
+			size, fabric.ChunkFor(size), start, done)
 		return
 	}
 	eng := ep.net.eng
@@ -644,7 +647,7 @@ func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
 	inj := ep.net.inj
 	if inj == nil || dst == ep.node {
 		// Healthy fabric, or HCA loopback that never touches the cable.
-		ep.wireAttempt(ep.path(dst), tid, rail, 0, size, start, func(sim.Time) { deliver() })
+		fabric.TransferTraced(ep.net.eng, ep.path(dst), size, fabric.ChunkFor(size), start, ep.net.rec, tid, ep.node, rail, 0, done)
 		return
 	}
 	start += inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
@@ -673,50 +676,30 @@ func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
 			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
 			return
 		}
-		ep.wireAttempt(path, tid, rail, uint8(attempt-1), size, at,
-			func(end sim.Time) {
-				v := faults.Drop // black-holed: structural loss, no PRNG draw
-				if fate.State != fabric.RouteBlackhole {
-					v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-				}
-				if v == faults.Deliver {
-					deliver()
-					return
-				}
-				if attempt > rcRetry.Limit {
-					ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-						Attempts: attempt, Bytes: size, Proto: "RC retransmit"})
-					return
-				}
-				delay := rcRetry.Delay(attempt)
-				attempt++
-				ep.retried()
-				rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-				rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-				eng.At(end+delay, func() { try(eng.Now()) })
-			})
+		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at, ep.net.rec, tid, ep.node, rail, uint8(attempt-1), sim.Callback{H: sim.Func(func() {
+			end := eng.Now()
+			v := faults.Drop // black-holed: structural loss, no PRNG draw
+			if fate.State != fabric.RouteBlackhole {
+				v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
+			}
+			if v == faults.Deliver {
+				done.Fire()
+				return
+			}
+			if attempt > rcRetry.Limit {
+				ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
+					Attempts: attempt, Bytes: size, Proto: "RC retransmit"})
+				return
+			}
+			delay := rcRetry.Delay(attempt)
+			attempt++
+			ep.retried()
+			rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
+			rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
+			eng.At(end+delay, func() { try(eng.Now()) })
+		})})
 	}
 	try(start)
-}
-
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path. The path
-// is resolved by the caller: retry loops must pair each attempt's route
-// with the fate annotation read at resolve time.
-func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := ep.net.rec
-	if rec.Sampled(tid) {
-		inner := done
-		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, ep.node, rail, attempt, -1, at, end, size)
-			inner(end)
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, ep.node, rail, attempt, done)
-		return
-	}
-	fabric.Transfer(ep.net.eng, path, size, fabric.ChunkFor(size), at, done)
 }
 
 // Multicast implements dev.Multicaster when the platform enables hardware
@@ -731,7 +714,8 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 		{Stage: src.hcaTx, Latency: hcaSetup},
 		{Stage: src.link.Up(), Latency: wireLatency},
 	}
-	fabric.Transfer(eng, up, size+32, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
+	fabric.Transfer(eng, up, size+32, fabric.ChunkFor(size), eng.Now(), sim.Callback{H: sim.Func(func() {
+		at := eng.Now()
 		for i := range ep.net.nodes {
 			if i == ep.node {
 				continue
@@ -745,9 +729,9 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 				fabric.PathStage{Stage: d.bus},
 			)
 			fabric.Transfer(eng, down, size+32, fabric.ChunkFor(size), at,
-				func(sim.Time) { deliver(i) })
+				sim.Callback{H: sim.Func(func() { deliver(i) })})
 		}
-	})
+	})})
 }
 
 // HWMulticastEnabled reports whether the platform was configured with the
@@ -757,21 +741,21 @@ func (ep *endpoint) HWMulticastEnabled() bool { return ep.net.cfg.HWMulticast }
 // Eager implements dev.Endpoint: MVAPICH sends small messages by RDMA write
 // into pre-registered remote buffers; on the wire this is envelope+payload
 // through the full path.
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
+func (ep *endpoint) Eager(dst int, size int64, done sim.Callback) {
 	ep.nic.Eager(size)
-	ep.transfer(dst, size+32, deliver) // 32-byte envelope/header
+	ep.transfer(dst, size+32, done) // 32-byte envelope/header
 }
 
 // Control implements dev.Endpoint (RTS/CTS/FIN as small RDMA writes).
-func (ep *endpoint) Control(dst int, deliver func()) {
+func (ep *endpoint) Control(dst int, done sim.Callback) {
 	ep.nic.Control()
-	ep.transfer(dst, 64, deliver)
+	ep.transfer(dst, 64, done)
 }
 
 // Bulk implements dev.Endpoint: the rendezvous payload as one RDMA write.
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
+func (ep *endpoint) Bulk(dst int, size int64, done sim.Callback) {
 	ep.nic.Bulk(size)
-	ep.transfer(dst, size, deliver)
+	ep.transfer(dst, size, done)
 }
 
 var _ dev.Network = (*Network)(nil)

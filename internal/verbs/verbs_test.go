@@ -43,9 +43,9 @@ func TestEagerDeliveryOrdering(t *testing.T) {
 	n := New(eng, DefaultConfig(2))
 	ep := n.NewEndpoint(0)
 	var order []int
-	ep.Eager(1, 64, func() { order = append(order, 1) })
-	ep.Eager(1, 64, func() { order = append(order, 2) })
-	ep.Control(1, func() { order = append(order, 3) })
+	ep.Eager(1, 64, sim.Callback{H: sim.Func(func() { order = append(order, 1) })})
+	ep.Eager(1, 64, sim.Callback{H: sim.Func(func() { order = append(order, 2) })})
+	ep.Control(1, sim.Callback{H: sim.Func(func() { order = append(order, 3) })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLoopbackPath(t *testing.T) {
 		n := New(eng, DefaultConfig(2))
 		ep := n.NewEndpoint(0)
 		var at sim.Time
-		ep.Bulk(dst, size, func() { at = eng.Now() })
+		ep.Bulk(dst, size, sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestPCIVariantSlower(t *testing.T) {
 		n := New(eng, cfg)
 		ep := n.NewEndpoint(0)
 		var at sim.Time
-		ep.Bulk(1, 256*units.KB, func() { at = eng.Now() })
+		ep.Bulk(1, 256*units.KB, sim.Callback{H: sim.Func(func() { at = eng.Now() })})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestFatTreeConfigWiring(t *testing.T) {
 	}
 	// Cross-leaf transfer completes.
 	done := false
-	n.NewEndpoint(0).Eager(20, 64, func() { done = true })
+	n.NewEndpoint(0).Eager(20, 64, sim.Callback{H: sim.Func(func() { done = true })})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFatTreeCapacityPanics(t *testing.T) {
 func TestUtilizationsCoverAllResources(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, DefaultConfig(2))
-	n.NewEndpoint(0).Eager(1, 4096, func() {})
+	n.NewEndpoint(0).Eager(1, 4096, sim.Callback{H: sim.Func(func() {})})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
