@@ -125,8 +125,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nasbench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s class %s on %s, %d procs (%d/node): %.3f s\n",
-		res.App, res.Class, res.Net, res.Procs, *perNode, res.Elapsed.Seconds())
+	// The exact picosecond count lets a byte comparison of two runs' output
+	// see end-time drift far below the rounded seconds.
+	fmt.Printf("%s class %s on %s, %d procs (%d/node): %.3f s (%d ps)\n",
+		res.App, res.Class, res.Net, res.Procs, *perNode, res.Elapsed.Seconds(), int64(res.Elapsed))
 	pr := res.PerRank
 	fmt.Printf("per-process profile (rank 0):\n")
 	fmt.Printf("  size classes <2K/2K-16K/16K-1M/>1M: %d / %d / %d / %d\n",

@@ -21,6 +21,7 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/gm"
 	"mpinet/internal/metrics"
+	"mpinet/internal/msgtrace"
 	"mpinet/internal/rail"
 	"mpinet/internal/sim"
 	"mpinet/internal/trace"
@@ -189,8 +190,8 @@ type Platform struct {
 	build func(eng *sim.Engine, nodes int, s Settings) dev.Network
 }
 
-// defaultLookahead is the cross-shard lookahead used when a network cannot
-// state its own latency floor (dev.LookaheadReporter): half the smallest
+// defaultLookahead is the cross-shard lookahead used when a network states
+// no latency floor (dev.Network.MinLinkLatency of 0): half the smallest
 // wire latency of the modelled fabrics, conservatively safe for all three.
 const defaultLookahead = 40 * units.Nanosecond
 
@@ -236,10 +237,8 @@ func (p Platform) New(nodes int) dev.Network {
 		}
 	}
 	net := p.build(group.Shard(0), nodes, s)
-	if lr, ok := net.(dev.LookaheadReporter); ok {
-		if la := lr.MinLinkLatency(); la > 0 {
-			group.SetLookahead(la)
-		}
+	if la := net.MinLinkLatency(); la > 0 {
+		group.SetLookahead(la)
 	}
 	return net
 }
@@ -288,6 +287,12 @@ func (n errNetwork) Nodes() int                   { return 0 }
 func (n errNetwork) NewEndpoint(int) dev.Endpoint { panic(n.err) }
 func (n errNetwork) ShmemBelow() int64            { return 0 }
 func (n errNetwork) ConfigErr() error             { return n.err }
+
+func (n errNetwork) MinLinkLatency() sim.Time        { return 0 }
+func (n errNetwork) Diameter() int                   { return 0 }
+func (n errNetwork) FaultPlan() *faults.Plan         { return nil }
+func (n errNetwork) AttachTracer(*msgtrace.Recorder) {}
+func (n errNetwork) Utilizations() []dev.Utilization { return nil }
 
 // With derives a variant platform with the options' platform-side effects
 // applied. Options that carry a name suffix (PCIBus -> "-PCI") extend the

@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"mpinet/internal/dev"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
 )
@@ -130,11 +129,11 @@ func TestShardedLookaheadFromNetwork(t *testing.T) {
 	// Each fabric states its own latency floor; the bond takes the fastest
 	// member's. These feed the shard scheduler's lookahead directly.
 	la := func(p Platform) sim.Time {
-		lr, ok := p.New(2).(dev.LookaheadReporter)
-		if !ok {
-			t.Fatalf("%s does not report a lookahead", p.Name)
+		la := p.New(2).MinLinkLatency()
+		if la <= 0 {
+			t.Fatalf("%s reports no lookahead", p.Name)
 		}
-		return lr.MinLinkLatency()
+		return la
 	}
 	iba, myri, qsn := la(IBA()), la(Myri()), la(QSN())
 	if !(qsn < myri && myri < iba) {

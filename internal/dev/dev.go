@@ -1,6 +1,7 @@
 // Package dev defines the service-provider interface between the MPI
 // library and an interconnect model — the simulation analogue of MPICH's
-// ADI2/Channel boundary.
+// ADI2/Channel boundary — and the fabric attachment the three NIC models
+// share.
 //
 // The MPI point-to-point engine (internal/mpi) implements the eager and
 // rendezvous protocols once; each interconnect (internal/verbs, internal/gm,
@@ -18,6 +19,18 @@
 //     IssueStall,
 //   - per-connection memory (Figure 13) via MemoryUsage,
 //   - the intra-node channel policy (Figures 9, 10, 25) via ShmemBelow.
+//
+// The network side that does not depend on the NIC's protocol lives once,
+// in the attachment (fabric.go): a Fabric embedded in each NIC's Network
+// owns the engine and domain placement, the topology (crossbar, Clos or fat
+// tree, filled with the NIC's link rate, crossing and wire latency), the
+// fault injector, the message recorder and domain mode; a Port embedded in
+// each endpoint owns the per-peer path cache, the fault and retry sinks and
+// the reliable transfer with its retry loop. A NIC model supplies only its
+// protocol behaviour and hardware: the Wiring it attaches with, a
+// PathBuilder that lays its per-node stages around the topology's, its
+// Reliability policy and per-resend work, its per-node instruments and
+// utilizations, and the Endpoint cost model above.
 package dev
 
 import (
@@ -127,14 +140,6 @@ type Utilization struct {
 	Jobs int64
 }
 
-// UtilizationReporter is implemented by networks that expose per-resource
-// occupancy accounting.
-type UtilizationReporter interface {
-	// Utilizations returns a snapshot for every modelled resource, in a
-	// stable order.
-	Utilizations() []Utilization
-}
-
 // Network is a fully wired interconnect instance for a cluster.
 type Network interface {
 	// Name is the short interconnect name used in reports ("IBA", "Myri",
@@ -156,27 +161,43 @@ type Network interface {
 	// if it returns 0) loop back through the NIC. MVAPICH returns 16 KB,
 	// MPICH-GM effectively infinity, Quadrics MPI 0.
 	ShmemBelow() int64
-}
 
-// LookaheadReporter is implemented by networks that can state a lower bound
-// on the simulated latency of any message crossing between nodes — cable
-// flight plus the cheapest port logic, with every queueing and protocol
-// delay excluded. The sharded scheduler (sim.Sharded) uses it as the
-// conservative lookahead for cross-shard edges: no event executed in one
-// node domain can affect another sooner than this bound, so domains may
-// dispatch a window of that width in parallel. Returning a bound larger
-// than the true minimum would break causality (the scheduler trusts it);
-// smaller is merely slower.
-type LookaheadReporter interface {
+	// MinLinkLatency is a lower bound on the simulated latency of any
+	// message crossing between nodes — cable flight plus the cheapest port
+	// logic, with every queueing and protocol delay excluded. The sharded
+	// scheduler (sim.Sharded) uses it as the conservative lookahead for
+	// cross-shard edges: no event executed in one node domain can affect
+	// another sooner than this bound, so domains may dispatch a window of
+	// that width in parallel. Returning a bound larger than the true
+	// minimum would break causality (the scheduler trusts it); smaller is
+	// merely slower; 0 states no bound.
 	MinLinkLatency() sim.Time
-}
 
-// FaultPlanner is implemented by networks wired with a fault-injection
-// plan (see internal/faults). The MPI layer uses it to auto-arm its
-// per-wait watchdog: a run on a faulty network must end in a typed error,
-// never a silent hang. A nil plan means faults are off.
-type FaultPlanner interface {
+	// Diameter is the element count of the fabric's longest route. The
+	// MPI layer folds it into the scaled watchdog budget
+	// (faults.ScaledTimeout): a deep Clos under faults needs more slack
+	// per wait than the paper's single crossbar.
+	Diameter() int
+
+	// FaultPlan is the fault-injection plan the network is wired with
+	// (see internal/faults), nil when faults are off. The MPI layer uses it
+	// to auto-arm its per-wait watchdog: a run on a faulty network must end
+	// in a typed error, never a silent hang.
 	FaultPlan() *faults.Plan
+
+	// AttachTracer hands the network the world's message recorder (see
+	// internal/msgtrace) at wiring time. Device models then read the
+	// current message's trace ID from the recorder synchronously at the
+	// Eager/Control/Bulk entry (the cooperative scheduler makes the scoped
+	// handoff race-free), carry it into their completion and retry state,
+	// and record wire, hop, backoff and flight-recorder observations
+	// against it. Composite networks (the rail bond) forward the attachment
+	// to every member and add their own dispatch/failover spans.
+	AttachTracer(rec *msgtrace.Recorder)
+
+	// Utilizations returns per-resource occupancy accounting for every
+	// modelled resource, in a stable order.
+	Utilizations() []Utilization
 }
 
 // FaultReporter is implemented by endpoints that can fail permanently
@@ -199,33 +220,12 @@ type RetryReporter interface {
 	OnRetry(observe func())
 }
 
-// DiameterReporter is implemented by networks that can state their fabric's
-// diameter — the element count of the longest route. The MPI layer folds it
-// into the scaled watchdog budget (faults.ScaledTimeout): a deep Clos under
-// faults needs more slack per wait than the paper's single crossbar.
-type DiameterReporter interface {
-	Diameter() int
-}
-
 // ElementHealth is implemented by networks whose fabric can suffer element
 // deaths (switch kills). DeadElement names the element currently down, for
 // incident attribution: the rail layer asks it when a rail goes dead so the
 // flight recorder can blame the switch rather than just the rail.
 type ElementHealth interface {
 	DeadElement(now sim.Time) (name string, code int64, ok bool)
-}
-
-// TraceAttacher is implemented by networks that can carry per-message
-// trace context (see internal/msgtrace). The MPI world attaches its
-// recorder at wiring time; device models then read the current message's
-// trace ID from the recorder synchronously at the Eager/Control/Bulk entry
-// (the cooperative scheduler makes the scoped handoff race-free), carry
-// it into their completion and retry state, and record wire, hop,
-// backoff and flight-recorder observations against it. Composite networks
-// (the rail bond) forward the attachment to every member and add their own
-// dispatch/failover spans.
-type TraceAttacher interface {
-	AttachTracer(rec *msgtrace.Recorder)
 }
 
 // Domains is the node-domain placement of a sharded world: which shard owns

@@ -32,7 +32,6 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/memreg"
 	"mpinet/internal/metrics"
-	"mpinet/internal/msgtrace"
 	"mpinet/internal/shmem"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
@@ -120,26 +119,13 @@ const (
 // interval before raising a network error to the library.
 var elanRetry = faults.RetryPolicy{Limit: 31, Interval: 30 * units.Microsecond}
 
-// Network is a wired Quadrics cluster.
+// Network is a wired Quadrics cluster. The embedded attachment owns the
+// engine, topology, fault injector and recorder; Network adds the Elan
+// NICs.
 type Network struct {
-	eng   *sim.Engine
+	dev.Fabric
 	cfg   Config
-	topo  fabric.Topology
 	nodes []*nodeHW
-	met   *metrics.Registry
-	inj   *faults.Injector
-	rec   *msgtrace.Recorder
-
-	// dynamic marks adaptive routing: paths are chosen per message and
-	// must not be cached.
-	dynamic bool
-	// scale flips on domain mode: per-node engines, split transfers, and
-	// the per-source picosecond skew that keeps sharded commit order equal
-	// to serial dispatch order.
-	scale bool
-	// cfgErr carries a topology-validation failure to mpi.NewWorld
-	// (dev.ConfigErrer); construction itself cannot return an error.
-	cfgErr error
 }
 
 type nodeHW struct {
@@ -152,53 +138,25 @@ type nodeHW struct {
 
 // New wires a Quadrics network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.Nodes < 1 {
-		panic("elan: need at least one node")
-	}
 	if cfg.SwitchPorts == 0 {
 		cfg.SwitchPorts = 16
 	}
-	n := &Network{eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
-	if cfg.Clos != nil {
-		cc := *cfg.Clos
-		if cc.LinkRate == 0 {
-			cc.LinkRate = units.BytesPerSecond(linkRateBps)
-		}
-		if cc.Crossing == 0 {
-			cc.Crossing = switchCrossing
-		}
-		if cc.WireLatency == 0 {
-			cc.WireLatency = wireLatency
-		}
-		topo, err := fabric.NewClos("elite-clos", cc, cfg.Nodes)
-		if err != nil {
-			n.cfgErr = fmt.Errorf("elan: %w", err)
-		} else {
-			n.topo = topo
-			n.dynamic = cc.Routing == fabric.Adaptive
-			if cfg.Faults.HasElements() {
-				if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
-					n.cfgErr = fmt.Errorf("elan: %w", err)
-				}
-				// Element deaths invalidate cached paths: every message must
-				// re-resolve its route so detection-time re-hashes take effect.
-				n.dynamic = true
-			}
-		}
-	} else {
-		if cfg.Nodes > cfg.SwitchPorts {
-			panic(fmt.Sprintf("elan: %d nodes exceed %d switch ports", cfg.Nodes, cfg.SwitchPorts))
-		}
-		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch("elite16", fabric.SwitchConfig{
-			Ports:    cfg.SwitchPorts,
-			Crossing: switchCrossing,
-			Rate:     units.BytesPerSecond(linkRateBps),
-		}))
-	}
-	if cfg.Faults.HasElements() && cfg.Clos == nil {
-		n.cfgErr = fmt.Errorf("elan: fault plan schedules fabric-element deaths but the topology is not a Clos")
-	}
-	n.announceElementDeaths()
+	n := &Network{cfg: cfg}
+	n.Attach(eng, dev.Wiring{
+		Proto:       "elan",
+		Nodes:       cfg.Nodes,
+		Crossbar:    "elite16",
+		Ports:       cfg.SwitchPorts,
+		Clos:        cfg.Clos,
+		ClosName:    "elite-clos",
+		Rate:        units.BytesPerSecond(linkRateBps),
+		Crossing:    switchCrossing,
+		Wire:        wireLatency,
+		Faults:      cfg.Faults,
+		Domains:     cfg.Domains,
+		Reliability: dev.Reliability{Policy: elanRetry, Proto: "Elan source retry", Resend: n.resend},
+		Paths:       n.buildPath,
+	})
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("qsn%d", i)
 		n.nodes = append(n.nodes, &nodeHW{
@@ -219,124 +177,23 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "QSN" }
 
-// Topology exposes the wired fabric topology — a debug surface for tests
-// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
-// on a built network.
-func (n *Network) Topology() fabric.Topology { return n.topo }
-
-// Engine implements dev.Network.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Nodes implements dev.Network.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MinLinkLatency implements dev.LookaheadReporter: the cross-node latency
-// floor is one wire hop.
-func (n *Network) MinLinkLatency() sim.Time { return wireLatency }
-
 // ShmemBelow implements dev.Network: the Quadrics MPI of the paper loops
 // intra-node traffic through the NIC at every size.
 func (n *Network) ShmemBelow() int64 { return 0 }
-
-// FaultPlan implements dev.FaultPlanner (nil when faults are off).
-func (n *Network) FaultPlan() *faults.Plan { return n.inj.Plan() }
-
-// Diameter implements dev.DiameterReporter.
-func (n *Network) Diameter() int {
-	if n.topo == nil {
-		return 1
-	}
-	return fabric.DiameterOf(n.topo)
-}
-
-// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
-// knows which of the plan's element kills is in effect.
-func (n *Network) DeadElement(now sim.Time) (string, int64, bool) {
-	if eh, ok := n.topo.(interface {
-		DeadElement(sim.Time) (string, int64, bool)
-	}); ok {
-		return eh.DeadElement(now)
-	}
-	return "", 0, false
-}
-
-// announceElementDeaths schedules one FlightElementDown incident per
-// switch kill at its death instant, so a postmortem names the dead element
-// even when no packet happened to ride it. Node crashes are announced by
-// the MPI layer, which owns rank death.
-func (n *Network) announceElementDeaths() {
-	p := n.inj.Plan()
-	if !p.HasElements() || n.cfgErr != nil || n.cfg.Clos == nil {
-		return
-	}
-	uplinks := n.cfg.Clos.Uplinks()
-	for _, k := range p.SwitchKills {
-		code := msgtrace.ElemCode(msgtrace.ElemLeaf, k.Index)
-		if k.Level >= 1 {
-			code = msgtrace.ElemCode(msgtrace.ElemPlane, k.Index%uplinks)
-		}
-		at, repair := k.At, int64(k.RepairAt)
-		c := code
-		n.eng.At(at, func() {
-			n.rec.Flight(msgtrace.FlightElementDown, at, -1, 0, msgtrace.StageHop, c, repair)
-		})
-	}
-}
-
-// AttachTracer implements dev.TraceAttacher.
-func (n *Network) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
-
-// ConfigErr implements dev.ConfigErrer.
-func (n *Network) ConfigErr() error { return n.cfgErr }
-
-// Domains implements dev.DomainNetwork.
-func (n *Network) Domains() *dev.Domains { return n.cfg.Domains }
-
-// ActivateDomains implements dev.DomainNetwork: flips the network into
-// domain (scale) mode. The Elan source-retry machinery reads fault verdicts
-// at delivery time on the shared engine, so a fault plan refuses activation.
-func (n *Network) ActivateDomains() bool {
-	if n.cfg.Domains == nil || n.inj != nil {
-		return false
-	}
-	n.scale = true
-	return true
-}
-
-// engineFor returns the engine owning a node's device state: the shared
-// engine in classic mode, the node's domain engine in scale mode.
-func (n *Network) engineFor(node int) *sim.Engine {
-	if !n.scale {
-		return n.eng
-	}
-	return n.cfg.Domains.EngineFor(node)
-}
-
-// skew is the deterministic per-source-node latency perturbation of domain
-// mode: one picosecond times (node+1), added to every cross-node hop so
-// cross-shard commit order agrees with serial dispatch order at same-instant
-// collisions (see the verbs twin for the full rationale).
-func (n *Network) skew(node int) sim.Time {
-	if !n.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
-}
 
 // ShmemConfig returns intra-node channel parameters (unused in practice
 // since ShmemBelow is 0, but required for interface completeness).
 func (n *Network) ShmemConfig() shmem.Config { return shmem.DefaultConfig() }
 
 // InstrumentMetrics implements metrics.Instrumentable: per-node bus, NIC
-// thread processor, DMA engine and link counters plus device-level spans
-// and switch port counters. Endpoints created afterwards bind protocol
-// counters, MMU-cache probes, and the Elan-specific command-queue stall
-// and NIC-match counters.
+// thread processor, DMA engine and link counters plus device-level spans,
+// then the attachment's fabric and fault-injector instruments. Endpoints
+// created afterwards bind protocol counters, MMU-cache probes, and the
+// Elan-specific command-queue stall and NIC-match counters.
 func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	n.met = m
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
@@ -350,16 +207,10 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 		hw.dmaRx.RecordSpans(m, i, "rx", "nic")
 		hw.link.Instrument(m, i)
 	}
-	// As in the other devices, the Elite crossbar's output contention rides
-	// the destination down-link, so its port pipes carry no traffic and are
-	// left unregistered; multi-stage fabrics register their leaf-tier links.
-	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
-		ti.Instrument(m)
-	}
-	n.inj.Instrument(m)
+	n.InstrumentFabric(m)
 }
 
-// Utilizations implements dev.UtilizationReporter.
+// Utilizations implements dev.Network.
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, hw := range n.nodes {
@@ -380,102 +231,38 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 	if node < 0 || node >= len(n.nodes) {
 		panic("elan: bad node index")
 	}
+	m := n.Metrics()
 	ep := &endpoint{
-		net:  n,
-		node: node,
+		net: n,
 		mmu: memreg.NewPinCache(
 			memreg.CostModel{PerOp: mmuPerOp, PerPage: mmuPerPage},
 			memreg.CostModel{}, // MMU entries are overwritten, not deregistered
 			mmuCapPages),
 	}
-	ep.nic = dev.NewNICCounters(n.met, node)
-	ep.cmdqStalls = n.met.Counter(metrics.NodePrefix(node) + "nic/cmdq_stalls")
-	ep.matches = n.met.Counter(metrics.NodePrefix(node) + "nic/matches")
-	ep.retries = n.met.Counter(metrics.NodePrefix(node) + "nic/retries")
-	ep.retryErrors = n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted")
-	dev.InstrumentPinCache(n.met, node, ep.mmu)
+	ep.nic = dev.NewNICCounters(m, node)
+	ep.cmdqStalls = m.Counter(metrics.NodePrefix(node) + "nic/cmdq_stalls")
+	ep.matches = m.Counter(metrics.NodePrefix(node) + "nic/matches")
+	ep.Port = n.NewPort(node)
+	dev.InstrumentPinCache(m, node, ep.mmu)
 	return ep
 }
 
+// endpoint is one process's Tports attachment; the embedded Port carries
+// its node, path cache, fault sinks and the source-retrying transfer.
 type endpoint struct {
-	net  *Network
-	node int
-	mmu  *memreg.PinCache
+	dev.Port
+	net *Network
+	mmu *memreg.PinCache
 
 	// outstanding NIC commands (issued, not yet delivered) for the
 	// command-queue model.
 	outstanding int
 
-	// sink receives permanent transfer failures (dev.FaultReporter).
-	sink func(error)
-	// onRetry observes each individual source retry (dev.RetryReporter).
-	onRetry func()
-
 	// metric handles (nil-safe no-ops when instrumentation is off)
-	nic         dev.NICCounters
-	cmdqStalls  *metrics.Counter
-	matches     *metrics.Counter
-	retries     *metrics.Counter
-	retryErrors *metrics.Counter
-
-	// peers holds the resolved per-destination send state. The stage list
-	// has two variants because PIO-sized sends skip the sender bus DMA; the
-	// block carries both plus their source-side stage counts. One dense
-	// slice of lazily materialized blocks — the hot path is a single index,
-	// no map lookups, and an endpoint in a 4k-node world only pays for the
-	// peers it actually speaks to. Adaptive routing bypasses the cache:
-	// the up-link choice is per message.
-	peers []*peerState
+	nic        dev.NICCounters
+	cmdqStalls *metrics.Counter
+	matches    *metrics.Counter
 }
-
-// peerState is one destination's resolved send state, per PIO/DMA variant.
-type peerState struct {
-	pathPIO []fabric.PathStage // size <= pioMax
-	pathDMA []fabric.PathStage // size > pioMax
-	srcPIO  int
-	srcDMA  int
-}
-
-// peer returns dst's state block, materializing it (and the index slice)
-// on first contact.
-func (ep *endpoint) peer(dst int) *peerState {
-	if ep.peers == nil {
-		ep.peers = make([]*peerState, len(ep.net.nodes))
-	}
-	p := ep.peers[dst]
-	if p == nil {
-		p = &peerState{}
-		ep.peers[dst] = p
-	}
-	return p
-}
-
-// OnFault implements dev.FaultReporter.
-func (ep *endpoint) OnFault(sink func(error)) { ep.sink = sink }
-
-// OnRetry implements dev.RetryReporter.
-func (ep *endpoint) OnRetry(observe func()) { ep.onRetry = observe }
-
-// retried counts one source retry and feeds the passive health observer.
-func (ep *endpoint) retried() {
-	ep.retries.Inc()
-	if ep.onRetry != nil {
-		ep.onRetry()
-	}
-}
-
-// fail reports a permanent transfer failure to the registered sink, or
-// raises it directly when the device is used without the MPI layer.
-func (ep *endpoint) fail(err error) {
-	ep.retryErrors.Inc()
-	if ep.sink != nil {
-		ep.sink(err)
-		return
-	}
-	panic(err)
-}
-
-func (ep *endpoint) Node() int { return ep.node }
 
 // EagerThreshold implements dev.Endpoint, honouring the config override.
 func (ep *endpoint) EagerThreshold() int64 {
@@ -509,8 +296,8 @@ func (ep *endpoint) CopyTime(size int64) sim.Time {
 func (ep *endpoint) AcquireBuf(b memreg.Buf) sim.Time {
 	cost := ep.mmu.Acquire(b)
 	if cost > 0 {
-		hw := ep.net.nodes[ep.node]
-		now := ep.net.engineFor(ep.node).Now()
+		hw := ep.net.nodes[ep.Node()]
+		now := ep.net.EngineFor(ep.Node()).Now()
 		hw.elanProc.Use(now, cost)
 		hw.dmaTx.Use(now, cost)
 		hw.dmaRx.Use(now, cost)
@@ -531,8 +318,8 @@ func (ep *endpoint) IssueStall() sim.Time {
 		return 0
 	}
 	ep.cmdqStalls.Inc()
-	hw := ep.net.nodes[ep.node]
-	hw.elanProc.Use(ep.net.engineFor(ep.node).Now(), queueThrash)
+	hw := ep.net.nodes[ep.Node()]
+	hw.elanProc.Use(ep.net.EngineFor(ep.Node()).Now(), queueThrash)
 	return slowIssue
 }
 
@@ -546,8 +333,8 @@ func (ep *endpoint) MatchDelay(pending int, done sim.Callback) {
 		pending = maxWalk
 	}
 	ep.matches.Inc()
-	eng := ep.net.engineFor(ep.node)
-	hw := ep.net.nodes[ep.node]
+	eng := ep.net.EngineFor(ep.Node())
+	hw := ep.net.nodes[ep.Node()]
 	_, end := hw.elanProc.Use(eng.Now(), matchBase+sim.Time(pending)*matchPerEntry)
 	eng.CallAt(end, done.H, done.A, done.B)
 }
@@ -559,71 +346,48 @@ func (l elanStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, elanPerMsg)
 }
 
-// path returns the staged path to dst, assembled once per (destination,
-// PIO-or-DMA) variant and cached in the peer block — except under adaptive
-// routing, where the fabric picks the up-link per message and the path must
-// be rebuilt.
-func (ep *endpoint) path(dst int, size int64) []fabric.PathStage {
-	p, _ := ep.resolved(dst, size)
-	return p
-}
-
-// resolved returns the staged path to dst for the size's PIO/DMA variant
-// and its source-side stage count — the NIC thread processor, send DMA and
-// link up (plus the sender bus for DMA-sized payloads, and whatever the
-// topology keeps on the source leaf; TransferCut runs those on the source's
-// domain engine). Both are cached in the peer block; adaptive routing
-// rebuilds the path per message.
-func (ep *endpoint) resolved(dst int, size int64) ([]fabric.PathStage, int) {
-	srcN := func() int {
-		n := 3
-		if size > pioMax {
-			n++
-		}
-		return n + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	if ep.net.dynamic && dst != ep.node {
-		return ep.buildPath(dst, size), srcN()
-	}
-	p := ep.peer(dst)
+// pathVariant selects the PIO (0) or DMA (1) path for a payload size.
+func pathVariant(size int64) int {
 	if size > pioMax {
-		if p.pathDMA == nil {
-			p.pathDMA = ep.buildPath(dst, size)
-			p.srcDMA = srcN()
-		}
-		return p.pathDMA, p.srcDMA
+		return 1
 	}
-	if p.pathPIO == nil {
-		p.pathPIO = ep.buildPath(dst, size)
-		p.srcPIO = srcN()
-	}
-	return p.pathPIO, p.srcPIO
+	return 0
 }
 
-// buildPath assembles the staged path to dst. Small sends skip the sender-
-// side bus DMA (the host PIO-copied into Elan SDRAM already, billed in
-// SendOverhead). Same-node traffic loops through the NIC, crossing the
-// node's PCI bus twice.
-func (ep *endpoint) buildPath(dst int, size int64) []fabric.PathStage {
-	src := ep.net.nodes[ep.node]
+// resend is the Reliability hook: each source retry costs the thread
+// processor one packet's work.
+func (n *Network) resend(node int) {
+	n.nodes[node].elanProc.Use(n.EngineFor(node).Now(), elanPerMsg)
+}
+
+// buildPath assembles the staged path from node to dst (dev.PathBuilder)
+// in the PIO (0) or DMA (1) variant. Small sends skip the sender-side bus
+// DMA (the host PIO-copied into Elan SDRAM already, billed in SendOverhead).
+// Same-node traffic loops through the NIC, crossing the node's PCI bus
+// twice. The NIC thread processor, send DMA and link up run on the source
+// node, plus the sender bus for DMA-sized payloads.
+func (n *Network) buildPath(node, dst, variant int) ([]fabric.PathStage, int) {
+	src := n.nodes[node]
 	var stages []fabric.PathStage
-	if size > pioMax {
+	srcStages := 3
+	if variant == 1 {
 		stages = append(stages, fabric.PathStage{Stage: src.bus})
+		srcStages++
 	}
-	if dst == ep.node {
+	if dst == node {
 		return append(stages,
 			fabric.PathStage{Stage: elanStage{src.elanProc}, Latency: loopbackPenalty},
 			fabric.PathStage{Stage: src.dmaTx},
 			fabric.PathStage{Stage: src.dmaRx},
 			fabric.PathStage{Stage: src.bus},
-		)
+		), srcStages
 	}
-	d := ep.net.nodes[dst]
-	between, downLat := ep.net.topo.Between(ep.node, dst)
+	d := n.nodes[dst]
+	between, downLat := n.Topology().Between(node, dst)
 	stages = append(stages,
 		fabric.PathStage{Stage: elanStage{src.elanProc}},
 		fabric.PathStage{Stage: src.dmaTx},
-		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + ep.net.skew(ep.node)},
+		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + n.Skew(node)},
 	)
 	stages = append(stages, between...)
 	return append(stages,
@@ -631,7 +395,7 @@ func (ep *endpoint) buildPath(dst int, size int64) []fabric.PathStage {
 		fabric.PathStage{Stage: elanStage{d.elanProc}},
 		fabric.PathStage{Stage: d.dmaRx},
 		fabric.PathStage{Stage: d.bus},
-	)
+	), srcStages
 }
 
 // op is one in-flight Tports send: the endpoint whose command-queue slot
@@ -660,102 +424,35 @@ func (o *op) HandleEvent(int64, int64) { o.delivered() }
 // shard, so the release time is the same at every shard count.)
 func (o *op) delivered() {
 	ep, n := o.ep, o.ep.net
-	dstEng := n.engineFor(o.dst)
-	if n.scale && o.dst != ep.node {
-		dstEng.CallOn(n.engineFor(ep.node), wireLatency+n.skew(o.dst), ep, 0, 0)
+	node := ep.Node()
+	dstEng := n.EngineFor(o.dst)
+	if n.Scaled() && o.dst != node {
+		dstEng.CallOn(n.EngineFor(node), wireLatency+n.Skew(o.dst), ep, 0, 0)
 	} else {
 		ep.outstanding--
 	}
 	done := o.done
-	ops.Put(dstEng, n.engineFor(ep.node), o)
+	ops.Put(dstEng, n.EngineFor(node), o)
 	done.Fire()
 }
 
-// HandleEvent implements sim.Handler for the domain-mode command-queue slot
-// release that delivered schedules back on this endpoint's engine.
+// HandleEvent implements sim.Handler for the command-queue slot release:
+// the domain-mode hop delivered schedules back on this endpoint's engine,
+// and the release of a permanently failed transfer.
 func (ep *endpoint) HandleEvent(int64, int64) { ep.outstanding-- }
 
 // transfer moves size bytes to dst and fires done when they have landed.
-// In domain mode it is fault-free by construction (activation refuses fault
-// plans) and untraced; the staged path is split at the wire so each node's
-// hardware state stays on its own engine.
+// Under a fault plan the attachment's retry loop runs Elan source retry:
+// the wormhole fabric bounces a failed route back to the source, whose
+// thread processor re-issues the packet from NIC SDRAM after a short fixed
+// interval — many cheap retries rather than the host-visible timeouts of
+// the other two interconnects. The command-queue slot stays occupied for
+// the whole retry chain and is released if it fails permanently.
 func (ep *endpoint) transfer(dst int, size int64, done sim.Callback) {
-	n := ep.net
-	eng := n.engineFor(ep.node)
-	o := ops.Get(eng)
+	o := ops.Get(ep.net.EngineFor(ep.Node()))
 	*o = op{ep: ep, dst: dst, done: done}
-	if n.scale {
-		ep.outstanding++
-		path, srcN := ep.resolved(dst, size)
-		fabric.TransferCut(eng, n.engineFor(dst), path, srcN,
-			size, fabric.ChunkFor(size), eng.Now(), sim.Callback{H: o})
-		return
-	}
-	rec := n.rec
-	tid, rail := rec.Cur(), rec.CurRail()
 	ep.outstanding++
-	inj := n.inj
-	if inj == nil || dst == ep.node {
-		fabric.TransferTraced(ep.net.eng, ep.path(dst, size), size, fabric.ChunkFor(size), eng.Now(), ep.net.rec, tid, ep.node, rail, 0, sim.Callback{H: o})
-		return
-	}
-	start := eng.Now() + inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
-	// Elan source retry: the wormhole fabric bounces a failed route back
-	// to the source, whose thread processor re-issues the packet from NIC
-	// SDRAM after a short fixed interval — many cheap retries rather than
-	// the host-visible timeouts of the other two interconnects. The
-	// command-queue slot stays occupied for the whole retry chain. Each
-	// re-issue re-resolves its route (adaptive routing's leaf-local state
-	// forgets dead planes at detection), and a detected dead end — crashed
-	// peer, partitioned fabric — fails typed without burning retries.
-	attempt := 1
-	var try func(at sim.Time)
-	try = func(at sim.Time) {
-		if inj.NodeDeadDetected(dst, at) || inj.NodeDeadDetected(ep.node, at) {
-			node := dst
-			if inj.NodeDeadDetected(ep.node, at) {
-				node = ep.node
-			}
-			ep.outstanding--
-			ep.fail(&faults.NodeDownError{Node: node, At: at})
-			return
-		}
-		path := ep.path(dst, size)
-		fate := fabric.LastRouteOf(n.topo)
-		if fate.State == fabric.RoutePartitioned {
-			ep.outstanding--
-			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
-			return
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at, ep.net.rec, tid, ep.node, rail, uint8(attempt-1), sim.Callback{H: sim.Func(func() {
-			end := eng.Now()
-			v := faults.Drop // black-holed: structural loss, no PRNG draw
-			if fate.State != fabric.RouteBlackhole {
-				v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-			}
-			if v == faults.Deliver {
-				o.delivered()
-				return
-			}
-			if attempt > elanRetry.Limit {
-				ep.outstanding--
-				ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-					Attempts: attempt, Bytes: size, Proto: "Elan source retry"})
-				return
-			}
-			delay := elanRetry.Delay(attempt)
-			attempt++
-			ep.retried()
-			rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-			rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-			eng.At(end+delay, func() {
-				hw := n.nodes[ep.node]
-				hw.elanProc.Use(eng.Now(), elanPerMsg)
-				try(eng.Now())
-			})
-		})})
-	}
-	try(start)
+	ep.Transfer(dst, pathVariant(size), size, 0, sim.Callback{H: o}, sim.Callback{H: ep})
 }
 
 // Eager implements dev.Endpoint (Tports queued send).

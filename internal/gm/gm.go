@@ -31,7 +31,6 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/memreg"
 	"mpinet/internal/metrics"
-	"mpinet/internal/msgtrace"
 	"mpinet/internal/shmem"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
@@ -111,26 +110,13 @@ const (
 // completes the send with GM_SEND_TIMED_OUT.
 var gmRetry = faults.RetryPolicy{Limit: 15, Interval: 200 * units.Microsecond}
 
-// Network is a wired Myrinet cluster.
+// Network is a wired Myrinet cluster. The embedded attachment owns the
+// engine, topology, fault injector and recorder; Network adds the LANai
+// NICs.
 type Network struct {
-	eng   *sim.Engine
+	dev.Fabric
 	cfg   Config
-	topo  fabric.Topology
 	nodes []*nodeHW
-	met   *metrics.Registry
-	inj   *faults.Injector
-	rec   *msgtrace.Recorder
-
-	// dynamic marks adaptive routing: paths are chosen per message and
-	// must not be cached.
-	dynamic bool
-	// scale flips on domain mode: per-node engines, split transfers, and
-	// the per-source picosecond skew that keeps sharded commit order equal
-	// to serial dispatch order.
-	scale bool
-	// cfgErr carries a topology-validation failure to mpi.NewWorld
-	// (dev.ConfigErrer); construction itself cannot return an error.
-	cfgErr error
 }
 
 type nodeHW struct {
@@ -168,7 +154,7 @@ func (hw *nodeHW) HandleEvent(kind, bytes int64) {
 	switch kind {
 	case hwAck:
 		hw.outTx -= bytes
-		hw.lanai.Use(hw.net.engineFor(hw.node).Now(), ackProcess)
+		hw.lanai.Use(hw.net.EngineFor(hw.node).Now(), ackProcess)
 		hw.acks.Inc()
 	case hwClaimRx:
 		hw.outRx += bytes
@@ -199,53 +185,25 @@ func min64(a, b int64) int64 {
 
 // New wires a Myrinet network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.Nodes < 1 {
-		panic("gm: need at least one node")
-	}
 	if cfg.SwitchPorts == 0 {
 		cfg.SwitchPorts = 8
 	}
-	n := &Network{eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
-	if cfg.Clos != nil {
-		cc := *cfg.Clos
-		if cc.LinkRate == 0 {
-			cc.LinkRate = units.BytesPerSecond(linkRateBps)
-		}
-		if cc.Crossing == 0 {
-			cc.Crossing = switchCrossing
-		}
-		if cc.WireLatency == 0 {
-			cc.WireLatency = wireLatency
-		}
-		topo, err := fabric.NewClos("myri-clos", cc, cfg.Nodes)
-		if err != nil {
-			n.cfgErr = fmt.Errorf("gm: %w", err)
-		} else {
-			n.topo = topo
-			n.dynamic = cc.Routing == fabric.Adaptive
-			if cfg.Faults.HasElements() {
-				if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
-					n.cfgErr = fmt.Errorf("gm: %w", err)
-				}
-				// Element deaths invalidate cached paths: every message must
-				// re-resolve its route so detection-time re-hashes take effect.
-				n.dynamic = true
-			}
-		}
-	} else {
-		if cfg.Nodes > cfg.SwitchPorts {
-			panic(fmt.Sprintf("gm: %d nodes exceed %d switch ports", cfg.Nodes, cfg.SwitchPorts))
-		}
-		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch("myrinet2000", fabric.SwitchConfig{
-			Ports:    cfg.SwitchPorts,
-			Crossing: switchCrossing,
-			Rate:     units.BytesPerSecond(linkRateBps),
-		}))
-	}
-	if cfg.Faults.HasElements() && cfg.Clos == nil {
-		n.cfgErr = fmt.Errorf("gm: fault plan schedules fabric-element deaths but the topology is not a Clos")
-	}
-	n.announceElementDeaths()
+	n := &Network{cfg: cfg}
+	n.Attach(eng, dev.Wiring{
+		Proto:       "gm",
+		Nodes:       cfg.Nodes,
+		Crossbar:    "myrinet2000",
+		Ports:       cfg.SwitchPorts,
+		Clos:        cfg.Clos,
+		ClosName:    "myri-clos",
+		Rate:        units.BytesPerSecond(linkRateBps),
+		Crossing:    switchCrossing,
+		Wire:        wireLatency,
+		Faults:      cfg.Faults,
+		Domains:     cfg.Domains,
+		Reliability: dev.Reliability{Policy: gmRetry, Proto: "GM send-token resend", Resend: n.resend},
+		Paths:       n.buildPath,
+	})
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("myri%d", i)
 		hw := &nodeHW{
@@ -269,110 +227,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "Myri" }
 
-// Topology exposes the wired fabric topology — a debug surface for tests
-// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
-// on a built network.
-func (n *Network) Topology() fabric.Topology { return n.topo }
-
-// Engine implements dev.Network.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Nodes implements dev.Network.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MinLinkLatency implements dev.LookaheadReporter: the cross-node latency
-// floor is one wire hop.
-func (n *Network) MinLinkLatency() sim.Time { return wireLatency }
-
 // ShmemBelow implements dev.Network: MPICH-GM uses shared memory for all
 // intra-node message sizes.
 func (n *Network) ShmemBelow() int64 { return math.MaxInt64 }
-
-// FaultPlan implements dev.FaultPlanner (nil when faults are off).
-func (n *Network) FaultPlan() *faults.Plan { return n.inj.Plan() }
-
-// Diameter implements dev.DiameterReporter.
-func (n *Network) Diameter() int {
-	if n.topo == nil {
-		return 1
-	}
-	return fabric.DiameterOf(n.topo)
-}
-
-// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
-// knows which of the plan's element kills is in effect.
-func (n *Network) DeadElement(now sim.Time) (string, int64, bool) {
-	if eh, ok := n.topo.(interface {
-		DeadElement(sim.Time) (string, int64, bool)
-	}); ok {
-		return eh.DeadElement(now)
-	}
-	return "", 0, false
-}
-
-// announceElementDeaths schedules one FlightElementDown incident per
-// switch kill at its death instant, so a postmortem names the dead element
-// even when no packet happened to ride it. Node crashes are announced by
-// the MPI layer, which owns rank death.
-func (n *Network) announceElementDeaths() {
-	p := n.inj.Plan()
-	if !p.HasElements() || n.cfgErr != nil || n.cfg.Clos == nil {
-		return
-	}
-	uplinks := n.cfg.Clos.Uplinks()
-	for _, k := range p.SwitchKills {
-		code := msgtrace.ElemCode(msgtrace.ElemLeaf, k.Index)
-		if k.Level >= 1 {
-			code = msgtrace.ElemCode(msgtrace.ElemPlane, k.Index%uplinks)
-		}
-		at, repair := k.At, int64(k.RepairAt)
-		c := code
-		n.eng.At(at, func() {
-			n.rec.Flight(msgtrace.FlightElementDown, at, -1, 0, msgtrace.StageHop, c, repair)
-		})
-	}
-}
-
-// AttachTracer implements dev.TraceAttacher.
-func (n *Network) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
-
-// ConfigErr implements dev.ConfigErrer.
-func (n *Network) ConfigErr() error { return n.cfgErr }
-
-// Domains implements dev.DomainNetwork.
-func (n *Network) Domains() *dev.Domains { return n.cfg.Domains }
-
-// ActivateDomains implements dev.DomainNetwork: flips the network into
-// domain (scale) mode. The GM send-token resend machinery reads fault
-// verdicts at delivery time on the shared engine, so a fault plan refuses
-// activation.
-func (n *Network) ActivateDomains() bool {
-	if n.cfg.Domains == nil || n.inj != nil {
-		return false
-	}
-	n.scale = true
-	return true
-}
-
-// engineFor returns the engine owning a node's device state: the shared
-// engine in classic mode, the node's domain engine in scale mode.
-func (n *Network) engineFor(node int) *sim.Engine {
-	if !n.scale {
-		return n.eng
-	}
-	return n.cfg.Domains.EngineFor(node)
-}
-
-// skew is the deterministic per-source-node latency perturbation of domain
-// mode: one picosecond times (node+1), added to every cross-node hop so
-// cross-shard commit order agrees with serial dispatch order at same-instant
-// collisions (see the verbs twin for the full rationale).
-func (n *Network) skew(node int) sim.Time {
-	if !n.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
-}
 
 // ShmemConfig returns the intra-node channel parameters for MPICH-GM, whose
 // shared-memory path has the lowest small-message cost of the three
@@ -384,14 +241,14 @@ func (n *Network) ShmemConfig() shmem.Config {
 }
 
 // InstrumentMetrics implements metrics.Instrumentable: per-node bus, LANai,
-// DMA-engine and link counters plus device-level spans, switch port
-// counters, and a GM-specific reliability-ACK count. Endpoints created
-// afterwards bind protocol counters and pin-cache probes.
+// DMA-engine and link counters plus device-level spans and a GM-specific
+// reliability-ACK count, then the attachment's fabric and fault-injector
+// instruments. Endpoints created afterwards bind protocol counters and
+// pin-cache probes.
 func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	n.met = m
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
@@ -411,16 +268,10 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 		hw.link.Instrument(m, i)
 		hw.acks = m.Counter(prefix + "/acks")
 	}
-	// The star path carries switch output contention on the destination's
-	// down-link (see fabric.Switch), so the crossbar's own port pipes never
-	// run; multi-stage fabrics register their leaf-tier links here.
-	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
-		ti.Instrument(m)
-	}
-	n.inj.Instrument(m)
+	n.InstrumentFabric(m)
 }
 
-// Utilizations implements dev.UtilizationReporter.
+// Utilizations implements dev.Network.
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, hw := range n.nodes {
@@ -441,90 +292,28 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 	if node < 0 || node >= len(n.nodes) {
 		panic("gm: bad node index")
 	}
+	m := n.Metrics()
 	ep := &endpoint{
-		net:  n,
-		node: node,
+		net: n,
 		pin: memreg.NewPinCache(
 			memreg.CostModel{PerOp: regPerOp, PerPage: regPerPage},
 			memreg.CostModel{PerOp: deregPerOp, PerPage: deregPage},
 			pinCapPages),
 	}
-	ep.nic = dev.NewNICCounters(n.met, node)
-	ep.retries = n.met.Counter(metrics.NodePrefix(node) + "nic/retries")
-	ep.retryErrors = n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted")
-	dev.InstrumentPinCache(n.met, node, ep.pin)
+	ep.nic = dev.NewNICCounters(m, node)
+	ep.Port = n.NewPort(node)
+	dev.InstrumentPinCache(m, node, ep.pin)
 	return ep
 }
 
+// endpoint is one process's GM port; the embedded Port carries its node,
+// path cache, fault sinks and the send-token-reliable transfer.
 type endpoint struct {
-	net  *Network
-	node int
-	pin  *memreg.PinCache
-	nic  dev.NICCounters
-
-	// sink receives permanent transfer failures (dev.FaultReporter).
-	sink func(error)
-	// onRetry observes each individual resend (dev.RetryReporter).
-	onRetry     func()
-	retries     *metrics.Counter
-	retryErrors *metrics.Counter
-
-	// peers holds the resolved per-destination send state: the staged path
-	// through LANai, DMA engines and the fabric (static per (src, dst)
-	// under deterministic routing) plus its source-side stage count. One
-	// dense slice of lazily materialized blocks — the hot path is a single
-	// index, no map lookups, and an endpoint in a 4k-node world only pays
-	// for the peers it actually speaks to. Adaptive routing bypasses the
-	// cache: the up-link choice is per message.
-	peers []*peerState
+	dev.Port
+	net *Network
+	pin *memreg.PinCache
+	nic dev.NICCounters
 }
-
-// peerState is one destination's resolved send state.
-type peerState struct {
-	path      []fabric.PathStage
-	srcStages int
-}
-
-// peer returns dst's state block, materializing it (and the index slice)
-// on first contact.
-func (ep *endpoint) peer(dst int) *peerState {
-	if ep.peers == nil {
-		ep.peers = make([]*peerState, len(ep.net.nodes))
-	}
-	p := ep.peers[dst]
-	if p == nil {
-		p = &peerState{}
-		ep.peers[dst] = p
-	}
-	return p
-}
-
-// OnFault implements dev.FaultReporter.
-func (ep *endpoint) OnFault(sink func(error)) { ep.sink = sink }
-
-// OnRetry implements dev.RetryReporter.
-func (ep *endpoint) OnRetry(observe func()) { ep.onRetry = observe }
-
-// retried counts one resend and feeds the passive health observer.
-func (ep *endpoint) retried() {
-	ep.retries.Inc()
-	if ep.onRetry != nil {
-		ep.onRetry()
-	}
-}
-
-// fail reports a permanent transfer failure to the registered sink, or
-// raises it directly when the device is used without the MPI layer.
-func (ep *endpoint) fail(err error) {
-	ep.retryErrors.Inc()
-	if ep.sink != nil {
-		ep.sink(err)
-		return
-	}
-	panic(err)
-}
-
-func (ep *endpoint) Node() int { return ep.node }
 
 // EagerThreshold implements dev.Endpoint, honouring the config override.
 func (ep *endpoint) EagerThreshold() int64 {
@@ -566,38 +355,21 @@ func (l lanaiStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, lanaiPerMsg)
 }
 
-// path returns the staged path to dst, assembled once per destination and
-// cached in the peer block — except under adaptive routing, where the
-// fabric picks the up-link per message and the path must be rebuilt.
-func (ep *endpoint) path(dst int) []fabric.PathStage {
-	p, _ := ep.resolved(dst)
-	return p
+// resend is the Reliability hook: each resend costs the sending LANai a
+// firmware timeout handler.
+func (n *Network) resend(node int) {
+	n.nodes[node].lanai.Use(n.EngineFor(node).Now(), ackProcess)
 }
 
-// resolved returns the staged path to dst and its source-side stage count —
-// bus, LANai, send-DMA and link up, plus whatever the topology keeps on the
-// source leaf (TransferCut runs those on the source's domain engine). Both
-// are cached in the peer block; adaptive routing rebuilds the path per
-// message.
-func (ep *endpoint) resolved(dst int) ([]fabric.PathStage, int) {
-	if ep.net.dynamic && dst != ep.node {
-		return ep.buildPath(dst), 4 + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	p := ep.peer(dst)
-	if p.path == nil {
-		p.path = ep.buildPath(dst)
-		p.srcStages = 4 + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	return p.path, p.srcStages
-}
-
-// buildPath assembles the staged path to dst. The LANai engine appears once
-// per side per message (envelope processing); payload chunks flow through
-// the per-direction DMA engines and the link, with the topology's stages
-// (none for the star crossbar, leaf links for a Clos) between them.
-func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
-	src := ep.net.nodes[ep.node]
-	if dst == ep.node {
+// buildPath assembles the staged path from node to dst (dev.PathBuilder;
+// GM has one variant). The LANai engine appears once per side per message
+// (envelope processing); payload chunks flow through the per-direction DMA
+// engines and the link, with the topology's stages (none for the star
+// crossbar, leaf links for a Clos) between them. Bus, LANai, send DMA and
+// link up run on the source node.
+func (n *Network) buildPath(node, dst, _ int) ([]fabric.PathStage, int) {
+	src := n.nodes[node]
+	if dst == node {
 		return []fabric.PathStage{
 			{Stage: src.bus},
 			{Stage: lanaiStage{src.lanai}},
@@ -605,15 +377,15 @@ func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
 			{Stage: src.rdma},
 			{Stage: lanaiStage{src.lanai}},
 			{Stage: src.bus},
-		}
+		}, 4
 	}
-	d := ep.net.nodes[dst]
-	between, downLat := ep.net.topo.Between(ep.node, dst)
+	d := n.nodes[dst]
+	between, downLat := n.Topology().Between(node, dst)
 	stages := []fabric.PathStage{
 		{Stage: src.bus},
 		{Stage: lanaiStage{src.lanai}},
 		{Stage: src.sdma},
-		{Stage: src.link.Up(), Latency: wireLatency + ep.net.skew(ep.node)},
+		{Stage: src.link.Up(), Latency: wireLatency + n.Skew(node)},
 	}
 	stages = append(stages, between...)
 	return append(stages,
@@ -621,7 +393,7 @@ func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
 		fabric.PathStage{Stage: lanaiStage{d.lanai}},
 		fabric.PathStage{Stage: d.rdma},
 		fabric.PathStage{Stage: d.bus},
-	)
+	), 4
 }
 
 // op is one in-flight GM send: what its delivery needs to release SRAM
@@ -640,8 +412,23 @@ type op struct {
 // ops recycles GM send records.
 var ops = sim.NewFreeList[op]()
 
-// HandleEvent implements sim.Handler: the transfer landed intact.
-func (o *op) HandleEvent(int64, int64) { o.delivered() }
+// opFailed is the op event kind of a permanent transfer failure (the
+// release callback handed to the attachment's retry loop); kind 0 is the
+// intact delivery.
+const opFailed = 1
+
+// HandleEvent implements sim.Handler: the transfer landed intact, or
+// failed permanently and releases its SRAM staging claim.
+func (o *op) HandleEvent(kind, _ int64) {
+	if kind == opFailed {
+		if o.bulk {
+			o.ep.net.nodes[o.ep.Node()].outTx -= o.size
+			o.ep.net.nodes[o.dst].outRx -= o.size
+		}
+		return
+	}
+	o.delivered()
+}
 
 // delivered is the delivered-intact path, on the destination's engine:
 // release SRAM staging and run GM reliability — the receiving LANai
@@ -651,12 +438,13 @@ func (o *op) HandleEvent(int64, int64) { o.delivered() }
 // side. Then the record is freed and the MPI layer's continuation fires.
 func (o *op) delivered() {
 	n := o.ep.net
-	src, dstHW := n.nodes[o.ep.node], n.nodes[o.dst]
-	dstEng := n.engineFor(o.dst)
+	srcNode := o.ep.Node()
+	src, dstHW := n.nodes[srcNode], n.nodes[o.dst]
+	dstEng := n.EngineFor(o.dst)
 	var ackRelease int64
 	if o.bulk {
 		dstHW.outRx -= o.size
-		if n.scale && dstHW != src {
+		if n.Scaled() && dstHW != src {
 			ackRelease = o.size
 		} else {
 			src.outTx -= o.size
@@ -665,116 +453,47 @@ func (o *op) delivered() {
 	dstHW.lanai.Use(dstEng.Now(), ackProcess)
 	dstHW.acks.Inc()
 	if dstHW != src {
-		dstEng.CallOn(n.engineFor(o.ep.node), ackFlight+n.skew(o.dst), src, hwAck, ackRelease)
+		dstEng.CallOn(n.EngineFor(srcNode), ackFlight+n.Skew(o.dst), src, hwAck, ackRelease)
 	}
 	done := o.done
-	ops.Put(dstEng, n.engineFor(o.ep.node), o)
+	ops.Put(dstEng, n.EngineFor(srcNode), o)
 	done.Fire()
 }
 
 // transfer moves size bytes to dst (bulk: through SRAM staging) and fires
 // done when they have landed.
 //
-// In domain mode the transfer is fault-free by construction (activation
-// refuses fault plans) and untraced, with the staged path split at the
-// wire so each node's hardware state stays on its own engine. The staging
-// and GM-reliability side effects that touch the peer node are routed
-// through cross-domain hops instead of mutated in place: the receiver's
-// outRx staging claim lands one wire flight after issue, the sender's ACK
-// (LANai absorb + outTx release) one ack flight after delivery, each
-// carrying the originating node's skew so commit order stays a pure
-// function of simulated time at every shard count.
+// In domain mode the staging and GM-reliability side effects that touch
+// the peer node are routed through cross-domain hops instead of mutated in
+// place: the receiver's outRx staging claim lands one wire flight after
+// issue, the sender's ACK (LANai absorb + outTx release) one ack flight
+// after delivery, each carrying the originating node's skew so commit
+// order stays a pure function of simulated time at every shard count.
+//
+// Under a fault plan the attachment's retry loop runs GM send-token
+// reliability: a lost or damaged packet means no ACK; the sending LANai
+// times out and resends at a fixed interval. The send token (and its SRAM
+// staging) stays held across resends — exactly why faulty links amplify
+// the Figure 5 staging pressure — and each attempt re-resolves the route
+// (the GM mapper's up*/down* route remap). A permanent failure releases
+// the staging claim.
 func (ep *endpoint) transfer(dst int, size int64, bulk bool, done sim.Callback) {
 	n := ep.net
-	eng := n.engineFor(ep.node)
-	src := n.nodes[ep.node]
+	node := ep.Node()
+	eng := n.EngineFor(node)
+	src := n.nodes[node]
 	dstHW := n.nodes[dst]
 	o := ops.Get(eng)
 	*o = op{ep: ep, dst: dst, size: size, bulk: bulk, done: done}
 	if bulk {
 		src.outTx += size
-		if n.scale && dstHW != src {
-			eng.CallOn(n.engineFor(dst), wireLatency+n.skew(ep.node), dstHW, hwClaimRx, size)
+		if n.Scaled() && dstHW != src {
+			eng.CallOn(n.EngineFor(dst), wireLatency+n.Skew(node), dstHW, hwClaimRx, size)
 		} else {
 			dstHW.outRx += size
 		}
 	}
-	if n.scale {
-		path, srcN := ep.resolved(dst)
-		fabric.TransferCut(eng, n.engineFor(dst), path, srcN,
-			size, fabric.ChunkFor(size), eng.Now(), sim.Callback{H: o})
-		return
-	}
-	rec := n.rec
-	tid, rail := rec.Cur(), rec.CurRail()
-	inj := n.inj
-	if inj == nil || dst == ep.node {
-		fabric.TransferTraced(ep.net.eng, ep.path(dst), size, fabric.ChunkFor(size), eng.Now(), ep.net.rec, tid, ep.node, rail, 0, sim.Callback{H: o})
-		return
-	}
-	start := eng.Now() + inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
-	// release undoes the staging claim when the transfer fails permanently.
-	release := func() {
-		if bulk {
-			src.outTx -= size
-			dstHW.outRx -= size
-		}
-	}
-	// GM send-token reliability: a lost or damaged packet means no ACK;
-	// the sending LANai times out and resends at a fixed interval. The
-	// send token (and its SRAM staging) stays held across resends —
-	// exactly why faulty links amplify the Figure 5 staging pressure —
-	// and each resend costs the LANai a firmware timeout handler. Each
-	// attempt re-resolves the route (the GM mapper's up*/down* route remap):
-	// after the detection delay a resend re-hashes around a dead element,
-	// while a detected dead end fails typed without burning resends.
-	attempt := 1
-	var try func(at sim.Time)
-	try = func(at sim.Time) {
-		if inj.NodeDeadDetected(dst, at) || inj.NodeDeadDetected(ep.node, at) {
-			node := dst
-			if inj.NodeDeadDetected(ep.node, at) {
-				node = ep.node
-			}
-			release()
-			ep.fail(&faults.NodeDownError{Node: node, At: at})
-			return
-		}
-		path := ep.path(dst)
-		fate := fabric.LastRouteOf(n.topo)
-		if fate.State == fabric.RoutePartitioned {
-			release()
-			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
-			return
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at, ep.net.rec, tid, ep.node, rail, uint8(attempt-1), sim.Callback{H: sim.Func(func() {
-			end := eng.Now()
-			v := faults.Drop // black-holed: structural loss, no PRNG draw
-			if fate.State != fabric.RouteBlackhole {
-				v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-			}
-			if v == faults.Deliver {
-				o.delivered()
-				return
-			}
-			if attempt > gmRetry.Limit {
-				release()
-				ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-					Attempts: attempt, Bytes: size, Proto: "GM send-token resend"})
-				return
-			}
-			delay := gmRetry.Delay(attempt)
-			attempt++
-			ep.retried()
-			rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-			rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-			eng.At(end+delay, func() {
-				src.lanai.Use(eng.Now(), ackProcess)
-				try(eng.Now())
-			})
-		})})
-	}
-	try(start)
+	ep.Transfer(dst, 0, size, 0, sim.Callback{H: o}, sim.Callback{H: o, A: opFailed})
 }
 
 // Eager implements dev.Endpoint (gm_send into a pre-posted receive buffer).

@@ -58,11 +58,11 @@ type Config struct {
 	// Timeout is the per-wait watchdog: a blocking MPI operation that makes
 	// no progress for this long fails the job with a TimeoutError instead
 	// of hanging. 0 means the default policy — armed when the network
-	// carries a fault plan (dev.FaultPlanner) at faults.ScaledTimeout(Procs,
-	// diameter), which grows with the rank count and the fabric's hop
-	// diameter (dev.DiameterReporter) so a thousand-rank Clos job is not
-	// held to a crossbar's deadline; off otherwise; negative disables the
-	// watchdog unconditionally.
+	// carries a fault plan (dev.Network.FaultPlan) at
+	// faults.ScaledTimeout(Procs, diameter), which grows with the rank count
+	// and the fabric's hop diameter (dev.Network.Diameter) so a
+	// thousand-rank Clos job is not held to a crossbar's deadline; off
+	// otherwise; negative disables the watchdog unconditionally.
 	Timeout sim.Time
 	// FaultTolerant selects ULFM-style rank-death handling: when a node
 	// crash (faults.Plan.NodeCrashes) kills a peer, pending user-level
@@ -198,14 +198,8 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.ProcsPerNode < 1 {
 		cfg.ProcsPerNode = 1
 	}
-	if cfg.Timeout == 0 {
-		if fp, ok := cfg.Net.(dev.FaultPlanner); ok && fp.FaultPlan() != nil {
-			diam := 1
-			if dr, ok := cfg.Net.(dev.DiameterReporter); ok {
-				diam = dr.Diameter()
-			}
-			cfg.Timeout = faults.ScaledTimeout(cfg.Procs, diam)
-		}
+	if cfg.Timeout == 0 && cfg.Net.FaultPlan() != nil {
+		cfg.Timeout = faults.ScaledTimeout(cfg.Procs, cfg.Net.Diameter())
 	}
 	w := &World{
 		eng:         cfg.Net.Engine(),
@@ -226,12 +220,10 @@ func NewWorld(cfg Config) (*World, error) {
 	// then the world keeps classic semantics.
 	if dn, ok := cfg.Net.(dev.DomainNetwork); ok &&
 		cfg.Timeline == nil && cfg.Metrics == nil && cfg.MsgTrace == nil {
-		if lr, ok := cfg.Net.(dev.LookaheadReporter); ok && lr.MinLinkLatency() > 0 {
-			if dn.ActivateDomains() {
-				w.scale = true
-				w.domains = dn.Domains()
-				w.finLat = lr.MinLinkLatency()
-			}
+		if la := cfg.Net.MinLinkLatency(); la > 0 && dn.ActivateDomains() {
+			w.scale = true
+			w.domains = dn.Domains()
+			w.finLat = la
 		}
 	}
 	// Wire the hardware layers before any endpoint exists, so endpoints
@@ -253,9 +245,7 @@ func NewWorld(cfg Config) (*World, error) {
 		if w.rec == nil {
 			w.rec = msgtrace.Disabled()
 		}
-		if ta, ok := cfg.Net.(dev.TraceAttacher); ok {
-			ta.AttachTracer(w.rec)
-		}
+		cfg.Net.AttachTracer(w.rec)
 	}
 	type shmemConfigurer interface{ ShmemConfig() shmem.Config }
 	shmCfg := shmem.DefaultConfig()
@@ -304,10 +294,8 @@ func NewWorld(cfg Config) (*World, error) {
 		w.procs = append(w.procs, ps)
 	}
 	w.tolerant = cfg.FaultTolerant
-	if fp, ok := cfg.Net.(dev.FaultPlanner); ok && !w.scale {
-		if plan := fp.FaultPlan(); plan != nil && len(plan.NodeCrashes) > 0 {
-			w.armCrashes(plan)
-		}
+	if plan := cfg.Net.FaultPlan(); !w.scale && plan != nil && len(plan.NodeCrashes) > 0 {
+		w.armCrashes(plan)
 	}
 	return w, nil
 }
@@ -572,13 +560,9 @@ func (w *World) MemoryUsage(rank int) int64 {
 	return mem
 }
 
-// Utilizations returns per-resource busy-time accounting when the network
-// supports it (all built-in devices do), or nil.
+// Utilizations returns the network's per-resource busy-time accounting.
 func (w *World) Utilizations() []dev.Utilization {
-	if ur, ok := w.cfg.Net.(dev.UtilizationReporter); ok {
-		return ur.Utilizations()
-	}
-	return nil
+	return w.cfg.Net.Utilizations()
 }
 
 // shmemBelow is the interconnect's intra-node channel policy.

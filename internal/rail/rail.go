@@ -186,8 +186,8 @@ type pair struct {
 }
 
 // Network is a bonded multi-rail interconnect: it implements dev.Network
-// (and the optional FaultPlanner / Instrumentable / UtilizationReporter
-// faces) by delegating to 2-3 member fabrics wired on one shared engine.
+// (and metrics.Instrumentable) by delegating to 2-3 member fabrics wired on
+// one shared engine.
 type Network struct {
 	eng   *sim.Engine
 	rails []dev.Network
@@ -275,32 +275,26 @@ func (n *Network) Nodes() int { return n.rails[0].Nodes() }
 // Rails exposes the member fabrics (for tests and diagnostics).
 func (n *Network) Rails() []dev.Network { return n.rails }
 
-// MinLinkLatency implements dev.LookaheadReporter: a bonded message may ride
-// any member rail, so the bound is the fastest member's. Members that cannot
-// state a bound make the bond unable to either (returns 0).
+// MinLinkLatency implements dev.Network: a bonded message may ride any
+// member rail, so the bound is the fastest member's (0, no bound, when a
+// member states none).
 func (n *Network) MinLinkLatency() sim.Time {
 	var min sim.Time
-	for _, r := range n.rails {
-		lr, ok := r.(dev.LookaheadReporter)
-		if !ok {
-			return 0
-		}
-		if la := lr.MinLinkLatency(); min == 0 || la < min {
+	for i, r := range n.rails {
+		if la := r.MinLinkLatency(); i == 0 || la < min {
 			min = la
 		}
 	}
 	return min
 }
 
-// Diameter implements dev.DiameterReporter: a bonded message may ride any
-// member rail, so the watchdog must budget for the deepest one.
+// Diameter implements dev.Network: a bonded message may ride any member
+// rail, so the watchdog must budget for the deepest one.
 func (n *Network) Diameter() int {
 	max := 1
 	for _, r := range n.rails {
-		if dr, ok := r.(dev.DiameterReporter); ok {
-			if d := dr.Diameter(); d > max {
-				max = d
-			}
+		if d := r.Diameter(); d > max {
+			max = d
 		}
 	}
 	return max
@@ -324,30 +318,28 @@ func (n *Network) ShmemConfig() shmem.Config {
 	return shmem.DefaultConfig()
 }
 
-// FaultPlan implements dev.FaultPlanner so the MPI watchdog arms on bonds
-// whose members run under fault plans.
+// FaultPlan implements dev.Network so the MPI watchdog arms on bonds whose
+// members run under fault plans.
 func (n *Network) FaultPlan() *faults.Plan {
 	if n.plan != nil {
 		return n.plan
 	}
 	for _, r := range n.rails {
-		if fp, ok := r.(dev.FaultPlanner); ok && fp.FaultPlan() != nil {
-			return fp.FaultPlan()
+		if p := r.FaultPlan(); p != nil {
+			return p
 		}
 	}
 	return nil
 }
 
-// AttachTracer implements dev.TraceAttacher: the bond keeps the recorder
-// for its own dispatch, failover and rail-death records and forwards it to
-// every member fabric, so a message traced through the bond carries both the
+// AttachTracer implements dev.Network: the bond keeps the recorder for its
+// own dispatch, failover and rail-death records and forwards it to every
+// member fabric, so a message traced through the bond carries both the
 // bond-level StageRail spans and the member device's wire/hop spans.
 func (n *Network) AttachTracer(rec *msgtrace.Recorder) {
 	n.rec = rec
 	for _, r := range n.rails {
-		if ta, ok := r.(dev.TraceAttacher); ok {
-			ta.AttachTracer(rec)
-		}
+		r.AttachTracer(rec)
 	}
 }
 
@@ -378,14 +370,12 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	}
 }
 
-// Utilizations implements dev.UtilizationReporter: the concatenation of
-// every member's accounting (resource names are already fabric-prefixed).
+// Utilizations implements dev.Network: the concatenation of every member's
+// accounting (resource names are already fabric-prefixed).
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, r := range n.rails {
-		if ur, ok := r.(dev.UtilizationReporter); ok {
-			out = append(out, ur.Utilizations()...)
-		}
+		out = append(out, r.Utilizations()...)
 	}
 	return out
 }
@@ -476,7 +466,4 @@ func (n *Network) armMonitors() {
 }
 
 var _ dev.Network = (*Network)(nil)
-var _ dev.TraceAttacher = (*Network)(nil)
-var _ dev.FaultPlanner = (*Network)(nil)
-var _ dev.UtilizationReporter = (*Network)(nil)
 var _ metrics.Instrumentable = (*Network)(nil)
